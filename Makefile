@@ -41,7 +41,8 @@ BENCH_RAW ?= /tmp/shades_bench_raw.json
 # experiments/adversary-smoke.store/.
 ADV_OUT ?= /tmp/shades_adversary
 
-.PHONY: all check build test lint smoke serve-smoke adversary-smoke sweep \
+.PHONY: all check build test lint smoke experiments-quick serve-smoke \
+	adversary-smoke sweep \
 	bless doc bench bench-engine clean
 
 all: check
@@ -78,16 +79,20 @@ lint:
 # the blessed store under experiments/ — a scheme or codec change that
 # silently alters what the shades detect, or lets a mutant fool a
 # shade undetected, fails check even when the honest baselines agree.
-# Order: build → lint → tests → measurement gate → forensics gate →
-# daemon smoke → adversary gate → speed gate, so a source-hygiene
-# regression fails before any baseline is consulted and the slowest
-# step runs last.
+# The paper-claims gate runs every quick row of bin/experiments.exe
+# (the lower-bound constructions, fooling arguments and scheme round
+# counts of EXPERIMENTS.md) and exits 1 on the first FAIL.
+# Order: build → lint → tests → paper claims → measurement gate →
+# forensics gate → daemon smoke → adversary gate → speed gate, so a
+# source-hygiene regression fails before any baseline is consulted and
+# the slowest step runs last.
 check:
 	dune build @all
 	@mkdir -p $(dir $(LINT_REPORT)) $(dir $(LINT_SARIF))
 	dune exec bin/shades_cli.exe -- lint --json $(LINT_REPORT) \
 	    --sarif $(LINT_SARIF)
 	dune runtest
+	dune exec bin/experiments.exe -- quick
 	@mkdir -p $(dir $(SMOKE_OUT))
 	dune exec bin/shades_cli.exe -- sweep --tiny -o $(SMOKE_OUT) \
 	    --trace-out $(SMOKE_TRACES) --compare BENCH_tiny --strict
@@ -111,6 +116,10 @@ check:
 # rerun), scrape /healthz and /metrics with curl, then restart the
 # daemon on the same cache directory and assert the disk tier answers
 # everything with zero recomputation.
+# The paper's claims alone (exit 1 on the first FAIL).
+experiments-quick:
+	dune exec bin/experiments.exe -- quick
+
 serve-smoke:
 	dune build @all
 	@mkdir -p $(dir $(SERVE_METRICS))

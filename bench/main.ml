@@ -87,10 +87,10 @@ let bench_uclass =
         (stage (fun () -> Uclass.pe_scheme.Scheme.oracle u.Uclass.graph));
       Test.make ~name:"pe_run_d4k1"
         (stage (fun () ->
-             Scheme.run_with_advice Uclass.pe_scheme u.Uclass.graph ~advice));
+             Scheme.run Uclass.pe_scheme u.Uclass.graph ~advice));
       Test.make ~name:"pe_verify_d4k1"
         (let r =
-           Scheme.run_with_advice Uclass.pe_scheme u.Uclass.graph ~advice
+           Scheme.run Uclass.pe_scheme u.Uclass.graph ~advice
          in
          stage (fun () -> Verify.port_election u.Uclass.graph r.Scheme.outputs));
     ]
@@ -129,7 +129,7 @@ let bench_fooling =
     [
       Test.make ~name:"selection_fooled_run"
         (stage (fun () ->
-             Scheme.run_with_advice Select_by_view.scheme gb.Gclass.graph
+             Scheme.run Select_by_view.scheme gb.Gclass.graph
                ~advice:advice_g));
     ]
 

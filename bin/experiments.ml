@@ -106,7 +106,7 @@ let e4_thm_2_2 () =
   in
   let param r name =
     match List.assoc_opt name r.Store.params with
-    | Some (Store.Json.Int v) -> v
+    | Some (Shades_json.Json.Int v) -> v
     | _ -> -1
   in
   let ok = ref true in
@@ -135,28 +135,24 @@ let e4_thm_2_2 () =
   let module Replay = Shades_trace.Replay in
   let module Tdiff = Shades_trace.Diff in
   let g = (Gclass.build { Gclass.delta = 3; k = 1 } ~i:2).Gclass.graph in
-  let capture engine =
+  let capture exec =
     let r = Trace.recorder () in
-    let tracer = Trace.emit r in
-    (match engine with
-    | Trace.Sync -> ignore (Scheme.run ~tracer Select_by_view.scheme g)
-    | Trace.Async { seed } ->
-        ignore (Scheme.run_async ~seed ~tracer Select_by_view.scheme g));
+    ignore (Scheme.run ~exec ~tracer:(Trace.emit r) Select_by_view.scheme g);
     Trace.capture r
       {
-        Trace.engine;
+        Trace.engine = Shades_localsim.Exec.trace_engine exec;
         graph_order = Port_graph.order g;
         advice_bits = 0;
         label = "s gclass:3,1,2";
       }
   in
-  let sync = capture Trace.Sync in
+  let sync = capture Shades_localsim.Exec.Sync in
   let s = Trace.stats sync in
   row "  traced G(3,1,i=2): %d events (%d sends, %d delivers) in %d round\n"
     s.Trace.events s.Trace.sends s.Trace.delivers s.Trace.rounds;
   check "sync vs async traces agree modulo sync markers (seeds 0,1,2)"
     (List.for_all
-       (fun seed -> Tdiff.divergences sync (capture (Trace.Async { seed })) = [])
+       (fun seed -> Tdiff.divergences sync (capture (Shades_localsim.Exec.Async { seed })) = [])
        [ 0; 1; 2 ]);
   check "trace codec round-trips" (Codec.decode (Codec.encode sync) = Ok sync);
   let exec tracer = ignore (Scheme.run ~tracer Select_by_view.scheme g) in
@@ -248,7 +244,7 @@ let e10_thm_2_9 () =
       let b = Gclass.build { Gclass.delta; k } ~i:beta in
       let advice = Select_by_view.scheme.Scheme.oracle a.Gclass.graph in
       let fooled =
-        Scheme.run_with_advice Select_by_view.scheme b.Gclass.graph ~advice
+        Scheme.run Select_by_view.scheme b.Gclass.graph ~advice
       in
       let verdict = Verify.selection b.Gclass.graph fooled.Scheme.outputs in
       row "  delta=%d k=%d advice(G_%d) on G_%d: %s\n" delta k alpha beta
@@ -308,7 +304,7 @@ let e15_thm_3_11 () =
       let a = Uclass.build p ~sigma:sa and b = Uclass.build p ~sigma:sb in
       let advice = Uclass.pe_scheme.Scheme.oracle a.Uclass.graph in
       let fooled =
-        Scheme.run_with_advice Uclass.pe_scheme b.Uclass.graph ~advice
+        Scheme.run Uclass.pe_scheme b.Uclass.graph ~advice
       in
       let verdict = Verify.port_election b.Uclass.graph fooled.Scheme.outputs in
       row "  sigma flip at tree %d: %s\n" (j + 1)
@@ -437,7 +433,7 @@ let e23_thm_4_11 () =
        (border b) ~depth:4);
   let scheme = Jclass.cppe_scheme a in
   let advice = scheme.Scheme.oracle a.Jclass.graph in
-  let fooled = Scheme.run_with_advice scheme b.Jclass.graph ~advice in
+  let fooled = Scheme.run scheme b.Jclass.graph ~advice in
   let verdict =
     Verify.complete_port_path_election b.Jclass.graph fooled.Scheme.outputs
   in
@@ -605,7 +601,10 @@ let e28_async () =
   let ok = ref true in
   List.iter
     (fun seed ->
-      let async = Scheme.run_async ~seed Select_by_view.scheme g in
+      let async =
+        Scheme.run ~exec:(Shades_localsim.Exec.Async { seed })
+          Select_by_view.scheme g
+      in
       if async.Scheme.outputs <> sync.Scheme.outputs then ok := false;
       if async.Scheme.rounds <> sync.Scheme.rounds then ok := false)
     [ 0; 1; 2; 3; 4 ];

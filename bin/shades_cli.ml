@@ -30,22 +30,40 @@ let pp_psi = function Some k -> string_of_int k | None -> "infinite"
 
 (* --- execution-engine flags (shared by elect, sweep, trace) ---
 
-   Sharding is an execution strategy: results, telemetry and traces are
-   identical to the sequential engine for every domain count, so these
-   flags never change what a command measures — only how fast. *)
+   The flags go through the one engine-name parser ({!Exec.parse}),
+   the same one the daemon's "engine" request field uses.  Sharding is
+   an execution detail: results, telemetry and traces are identical to
+   the sequential engine for every domain count, so these flags never
+   change what a command measures — only how fast. *)
 
-let strategy_of_flags ~engine ~domains =
-  match String.lowercase_ascii engine with
-  | "sequential" | "seq" -> None
-  | "sharded" -> Some (Shades_runtime.Sweep.Sharded { domains })
-  | e -> failwith ("unknown engine: " ^ e ^ " (expected sequential or sharded)")
+module Exec = Shades_localsim.Exec
+
+let task_of_flag task =
+  match Task.of_string task with Ok k -> k | Error e -> failwith e
+
+(* Local commands run only the synchronous engines: the sweep grid's
+   g-async rider already pins the α-synchronizer with its own seed, and
+   seeded async runs are `client elect --engine async --seed N` and
+   `trace record --async --seed N`.  The seed thunk is never consulted
+   for the names accepted here. *)
+let exec_of_flags ~engine ~domains =
+  match
+    Exec.parse
+      ~domains:(fun () -> domains)
+      ~seed:(fun () -> 0)
+      (String.lowercase_ascii engine)
+  with
+  | Ok (Exec.Async _) ->
+      failwith "engine async is not available here (expected sync or sharded)"
+  | Ok exec -> exec
+  | Error e -> failwith e
 
 let engine_flag_arg =
   Arg.(
-    value & opt string "sequential"
+    value & opt string "sync"
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Execution engine for synchronous runs: $(b,sequential), or \
+          "Execution engine: $(b,sync) (alias $(b,sequential)), or \
            $(b,sharded) — the vertex-sharded parallel engine, which \
            produces identical outputs, telemetry and traces on any \
            domain count.")
@@ -102,53 +120,37 @@ let views_cmd =
 
 (* --- elect --- *)
 
+let payload_to_string : type p. p Task.payload -> p -> string = function
+  | Task.Unit -> fun () -> "non-leader"
+  | Task.Port -> string_of_int
+  | Task.Ports -> fun ps -> "[" ^ String.concat ";" (List.map string_of_int ps) ^ "]"
+  | Task.Port_pairs ->
+      fun pairs ->
+        "["
+        ^ String.concat ";"
+            (List.map (fun (p, q) -> Printf.sprintf "(%d,%d)" p q) pairs)
+        ^ "]"
+
 let elect_cmd =
   let run spec task engine domains =
     let g = parse_graph spec in
-    let run_scheme scheme =
-      match strategy_of_flags ~engine ~domains with
-      | None | Some Shades_runtime.Sweep.Sequential -> Scheme.run scheme g
-      | Some (Shades_runtime.Sweep.Sharded { domains }) ->
-          Scheme.run_sharded ?domains scheme g
+    let exec = exec_of_flags ~engine ~domains in
+    let (Registry.Impl { scheme; verify; payload; _ }) =
+      Registry.of_kind (task_of_flag task)
     in
-    let report verify pp r =
-      match verify g r.Scheme.outputs with
-      | Ok leader ->
-          Printf.printf "leader: node %d (%d rounds, %d advice bits)\n" leader
-            r.Scheme.rounds r.Scheme.advice_bits;
-          Array.iteri
-            (fun v o -> Printf.printf "  node %d -> %s\n" v (pp o))
-            r.Scheme.outputs
-      | Error e -> Printf.printf "FAILED: %s\n" e
-    in
-    let pp_pairs pairs =
-      "["
-      ^ String.concat ";"
-          (List.map (fun (p, q) -> Printf.sprintf "(%d,%d)" p q) pairs)
-      ^ "]"
-    in
-    let pp_answer pp_payload = function
-      | Task.Leader -> "leader"
-      | Task.Follower x -> pp_payload x
-    in
-    match String.lowercase_ascii task with
-    | "s" ->
-        report Verify.selection
-          (pp_answer (fun () -> "non-leader"))
-          (run_scheme Select_by_view.scheme)
-    | "pe" ->
-        report Verify.port_election
-          (pp_answer string_of_int)
-          (run_scheme Map_advice.port_election)
-    | "ppe" ->
-        report Verify.port_path_election
-          (pp_answer (fun ps ->
-               "[" ^ String.concat ";" (List.map string_of_int ps) ^ "]"))
-          (run_scheme Map_advice.port_path_election)
-    | "cppe" ->
-        report Verify.complete_port_path_election (pp_answer pp_pairs)
-          (run_scheme Map_advice.complete_port_path_election)
-    | t -> failwith ("unknown task: " ^ t)
+    let r = Scheme.run ~exec scheme g in
+    match verify g r.Scheme.outputs with
+    | Ok leader ->
+        Printf.printf "leader: node %d (%d rounds, %d advice bits)\n" leader
+          r.Scheme.rounds r.Scheme.advice_bits;
+        Array.iteri
+          (fun v o ->
+            Printf.printf "  node %d -> %s\n" v
+              (match o with
+              | Task.Leader -> "leader"
+              | Task.Follower x -> payload_to_string payload x))
+          r.Scheme.outputs
+    | Error e -> Printf.printf "FAILED: %s\n" e
   in
   let task_arg =
     Arg.(
@@ -289,7 +291,7 @@ let sweep_cmd =
     let domains =
       match domains with Some d -> d | None -> Pool.default_domains ()
     in
-    let strategy = strategy_of_flags ~engine ~domains:engine_domains in
+    let exec = exec_of_flags ~engine ~domains:engine_domains in
     (* Sweep-level registry: J-class points skipped by the node budget
        are tallied here — the grid shrinking must never be silent. *)
     let sweep_metrics = Metrics.create () in
@@ -297,20 +299,20 @@ let sweep_cmd =
       if tiny then
         (* the smallest honest grid — the CI smoke test and the grid
            `make check` gates against the committed baseline *)
-        (Sweep.tiny_jobs ?strategy (), "tiny grid")
+        (Sweep.tiny_jobs ~exec (), "tiny grid")
       else begin
         let delta = Sweep.range "delta" ~lo:delta_lo ~hi:delta_hi in
         let k = Sweep.range "k" ~lo:k_lo ~hi:k_hi in
         let g_jobs () =
-          Sweep.gclass_jobs ?strategy
+          Sweep.gclass_jobs ~exec
             (Sweep.cross [ delta; k; Sweep.axis "i" is ])
         in
         let u_jobs () =
-          Sweep.uclass_jobs ?strategy
+          Sweep.uclass_jobs ~exec
             (Sweep.cross [ delta; k; Sweep.axis "sigma" sigmas ])
         in
         let j_jobs () =
-          Sweep.jclass_jobs ?strategy ~max_order ~metrics:sweep_metrics
+          Sweep.jclass_jobs ~exec ~max_order ~metrics:sweep_metrics
             (Sweep.cross [ Sweep.axis "mu" mus; k; Sweep.axis "z_eff" zeffs ])
         in
         let jobs =
@@ -365,7 +367,8 @@ let sweep_cmd =
         (fun i (job : Sweep.job) ->
           Printf.printf "%-32s %-8s %-12s %10d %5d\n" (Sweep.label_of_job job)
             job.Sweep.family
-            (Shades_trace.Trace.engine_to_string job.Sweep.engine)
+            (Shades_trace.Trace.engine_to_string
+               (Exec.trace_engine job.Sweep.exec))
             job.Sweep.cost rank.(i))
         arr;
       Printf.printf "total projected cost: %d nodes\n"
@@ -409,8 +412,8 @@ let sweep_cmd =
             (List.map
                (fun (name, v) ->
                  match v with
-                 | Store.Json.String s -> s
-                 | v -> name ^ "=" ^ Store.Json.to_string v)
+                 | Json.String s -> s
+                 | v -> name ^ "=" ^ Json.to_string v)
                r.Store.params)
         in
         let counter name =
@@ -625,23 +628,6 @@ let trace_exits =
     Cmdliner.Cmd.Exit.info 125 ~doc:"on unexpected internal errors (bugs).";
   ]
 
-(* One execution of [task] on [g] under [engine], as the thunk shape
-   {!Replay.run} consumes.  `trace record` stores "task graph-spec" in
-   the label, so `trace replay` can rebuild exactly this thunk. *)
-let trace_exec ~task ~engine g =
-  let go scheme emit =
-    match engine with
-    | Trace.Sync -> ignore (Scheme.run ~tracer:emit scheme g)
-    | Trace.Async { seed } ->
-        ignore (Scheme.run_async ~seed ~tracer:emit scheme g)
-  in
-  match String.lowercase_ascii task with
-  | "s" -> go Select_by_view.scheme
-  | "pe" -> go Map_advice.port_election
-  | "ppe" -> go Map_advice.port_path_election
-  | "cppe" -> go Map_advice.complete_port_path_election
-  | t -> failwith ("unknown task: " ^ t ^ " (expected s, pe, ppe, cppe)")
-
 let load_trace path =
   match Codec.read ~path with
   | Ok t -> t
@@ -659,9 +645,13 @@ let trace_file_arg =
 let trace_record_cmd =
   let run spec task async seed capacity out =
     let g = parse_graph spec in
-    let engine = if async then Trace.Async { seed } else Trace.Sync in
+    let exec = if async then Exec.Async { seed } else Exec.Sync in
+    let engine = Exec.trace_engine exec in
+    let (Registry.Impl { scheme; _ }) = Registry.of_kind (task_of_flag task) in
     let r = Trace.recorder ?capacity () in
-    trace_exec ~task ~engine g (Trace.emit r);
+    ignore (Scheme.run ~exec ~tracer:(Trace.emit r) scheme g);
+    (* the label is "task graph-spec", which Service.recorded_run reads
+       back for `trace replay` and the daemon's verify-trace *)
     let draft =
       Trace.capture r
         {
@@ -736,21 +726,8 @@ let trace_record_cmd =
 let trace_replay_cmd =
   let run file =
     let trace = load_trace file in
-    let label = trace.Trace.meta.Trace.label in
-    let task, spec =
-      match String.index_opt label ' ' with
-      | Some i ->
-          ( String.sub label 0 i,
-            String.sub label (i + 1) (String.length label - i - 1) )
-      | None ->
-          failwith
-            ("trace label is not \"task graph-spec\" (was it recorded by \
-              `trace record`?): " ^ label)
-    in
-    let g = parse_graph spec in
-    match
-      Replay.run trace (trace_exec ~task ~engine:trace.Trace.meta.Trace.engine g)
-    with
+    let (task, spec), rerun = Shades_server.Service.recorded_run trace in
+    match Replay.run trace rerun with
     | Ok () ->
         Printf.printf "replay ok: %d events reproduced (%s on %s, %s)\n"
           (Array.length trace.Trace.events)
@@ -865,7 +842,7 @@ let trace_bless_cmd =
     in
     let jobs =
       Sweep.tiny_jobs
-        ?strategy:(strategy_of_flags ~engine ~domains:engine_domains)
+        ~exec:(exec_of_flags ~engine ~domains:engine_domains)
         ()
     in
     let traced, _ = Sweep.run_traced ~domains jobs in
@@ -901,7 +878,7 @@ let trace_gate_cmd =
     in
     let jobs =
       Sweep.tiny_jobs
-        ?strategy:(strategy_of_flags ~engine ~domains:engine_domains)
+        ~exec:(exec_of_flags ~engine ~domains:engine_domains)
         ()
     in
     let _, report = Sweep.run_traced ~domains ~baseline:dir jobs in
@@ -1353,11 +1330,16 @@ let client_cmd =
           Json.Obj
             ((("op", Json.String op) :: graph_members ())
             @ [ ("engine", Json.String engine) ]
-            @ (if engine = "async" then [ ("seed", Json.Int seed) ] else [])
             @
-            match domains with
-            | Some d when engine = "sharded" -> [ ("domains", Json.Int d) ]
-            | _ -> [])
+            (* the engine's own fields only; an unknown name goes to the
+               daemon as typed, which answers it *)
+            match
+              Exec.parse ~domains:(fun () -> domains) ~seed:(fun () -> seed)
+                engine
+            with
+            | Ok (Exec.Async { seed }) -> [ ("seed", Json.Int seed) ]
+            | Ok (Exec.Sharded { domains = Some d }) -> [ ("domains", Json.Int d) ]
+            | Ok (Exec.Sync | Exec.Sharded { domains = None }) | Error _ -> [])
       | "verify" ->
           let text =
             match outputs with
@@ -1595,17 +1577,8 @@ let adversary_exits =
 let adversary_cmd =
   let open Shades_adversary in
   let shade_of_task task =
-    let wanted = String.lowercase_ascii task in
-    match
-      List.find_opt
-        (fun s ->
-          String.lowercase_ascii (Task.kind_to_string (Corrupt.task_of s))
-          = wanted)
-        Corrupt.map_shades
-    with
-    | Some s -> s
-    | None ->
-        failwith ("unknown task: " ^ task ^ " (expected s, pe, ppe, cppe)")
+    let kind = task_of_flag task in
+    List.find (fun s -> Corrupt.task_of s = kind) Corrupt.map_shades
   in
   let task_arg =
     Arg.(
@@ -1616,7 +1589,7 @@ let adversary_cmd =
     let run spec task seeds beam passes =
       let g = parse_graph spec in
       match shade_of_task task with
-      | Corrupt.Shade { scheme; _ } ->
+      | Registry.Impl { scheme; _ } ->
           let sweeps = Schedule.sweep_seeds scheme g ~seeds in
           Printf.printf "seeded delay plans on %s (task %s):\n" spec
             (String.uppercase_ascii task);
@@ -1679,7 +1652,7 @@ let adversary_cmd =
           crashes
       in
       match shade_of_task task with
-      | Corrupt.Shade { scheme; _ } ->
+      | Registry.Impl { scheme; _ } ->
           let plan = Fault.normalize ~n:(Port_graph.order g) faults in
           Printf.printf "plan: %s\n"
             (if plan = [] then "(no faults)"

@@ -26,11 +26,11 @@ let () =
   let a = Gclass.build p ~i:2 and b = Gclass.build p ~i:3 in
   let advice = Select_by_view.scheme.Scheme.oracle a.Gclass.graph in
   let honest =
-    Scheme.run_with_advice Select_by_view.scheme a.Gclass.graph ~advice
+    Scheme.run Select_by_view.scheme a.Gclass.graph ~advice
   in
   show "honest:" (Verify.selection a.Gclass.graph honest.Scheme.outputs);
   let fooled =
-    Scheme.run_with_advice Select_by_view.scheme b.Gclass.graph ~advice
+    Scheme.run Select_by_view.scheme b.Gclass.graph ~advice
   in
   show "fooled:" (Verify.selection b.Gclass.graph fooled.Scheme.outputs);
   Printf.printf
@@ -45,9 +45,9 @@ let () =
   sb.(4) <- 3;
   let a = Uclass.build p ~sigma:sa and b = Uclass.build p ~sigma:sb in
   let advice = Uclass.pe_scheme.Scheme.oracle a.Uclass.graph in
-  let honest = Scheme.run_with_advice Uclass.pe_scheme a.Uclass.graph ~advice in
+  let honest = Scheme.run Uclass.pe_scheme a.Uclass.graph ~advice in
   show "honest:" (Verify.port_election a.Uclass.graph honest.Scheme.outputs);
-  let fooled = Scheme.run_with_advice Uclass.pe_scheme b.Uclass.graph ~advice in
+  let fooled = Scheme.run Uclass.pe_scheme b.Uclass.graph ~advice in
   show "fooled:" (Verify.port_election b.Uclass.graph fooled.Scheme.outputs);
   Printf.printf
     "  (the heavy node's k-round view is identical in both graphs, so it\n\
@@ -62,10 +62,10 @@ let () =
   let a = Jclass.build p ~y:ya and b = Jclass.build p ~y:yb in
   let scheme = Jclass.cppe_scheme a in
   let advice = scheme.Scheme.oracle a.Jclass.graph in
-  let honest = Scheme.run_with_advice scheme a.Jclass.graph ~advice in
+  let honest = Scheme.run scheme a.Jclass.graph ~advice in
   show "honest:"
     (Verify.complete_port_path_election a.Jclass.graph honest.Scheme.outputs);
-  let fooled = Scheme.run_with_advice scheme b.Jclass.graph ~advice in
+  let fooled = Scheme.run scheme b.Jclass.graph ~advice in
   show "fooled:"
     (Verify.complete_port_path_election b.Jclass.graph fooled.Scheme.outputs);
   Printf.printf

@@ -92,7 +92,7 @@ val to_store : report -> Shades_runtime.Store.t
     [family/task/graph/op/class/reason/leader] key the regression
     diff. *)
 
-val slice : Shades_runtime.Store.record -> (string * Shades_runtime.Store.Json.t) list
+val slice : Shades_runtime.Store.record -> (string * Shades_json.Json.t) list
 (** Shard key: (family, task) — one shard per shade. *)
 
 val save : dir:string -> report -> unit
@@ -104,5 +104,5 @@ val gate : baseline_dir:string -> report -> (unit, string list) result
     must match the blessed baseline exactly (streamed shard-by-shard
     via manifest digests).  [Error] lists every problem. *)
 
-val json_of_report : report -> Shades_runtime.Store.Json.t
+val json_of_report : report -> Shades_json.Json.t
 val markdown_of_report : report -> string

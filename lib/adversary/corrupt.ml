@@ -4,7 +4,7 @@ module Engine = Shades_localsim.Engine
 module Task = Shades_election.Task
 module Scheme = Shades_election.Scheme
 module Map_advice = Shades_election.Map_advice
-module Verify = Shades_election.Verify
+module Registry = Shades_election.Registry
 
 type op =
   | Flip of int
@@ -41,40 +41,21 @@ let mutate ~oracle g op =
       Bitstring.sub advice 0 keep
   | Swap { donor; _ } -> oracle donor
 
-type shade =
-  | Shade : {
-      task : Task.kind;
-      scheme : 'o Scheme.t;
-      verify :
-        Port_graph.t -> 'o array -> (Port_graph.vertex, string) result;
-    }
-      -> shade
+type shade = Registry.impl
 
-let task_of (Shade { task; _ }) = task
+let task_of (Registry.Impl { kind; _ }) = kind
 
+(* The registry, with S's minimum-time scheme swapped for the map-advice
+   Selection scheme: every campaign target then decodes the same advice
+   map, so mutant classifications compare across shades. *)
 let map_shades =
-  [
-    Shade
-      { task = Task.S; scheme = Map_advice.selection; verify = Verify.selection };
-    Shade
-      {
-        task = Task.PE;
-        scheme = Map_advice.port_election;
-        verify = Verify.port_election;
-      };
-    Shade
-      {
-        task = Task.PPE;
-        scheme = Map_advice.port_path_election;
-        verify = Verify.port_path_election;
-      };
-    Shade
-      {
-        task = Task.CPPE;
-        scheme = Map_advice.complete_port_path_election;
-        verify = Verify.complete_port_path_election;
-      };
-  ]
+  List.map
+    (fun kind ->
+      match Registry.of_kind kind with
+      | Registry.Impl ({ payload = Task.Unit; _ } as impl) ->
+          Registry.Impl { impl with scheme = Map_advice.selection }
+      | impl -> impl)
+    Task.all
 
 type classification =
   | Detected of { reason : string }
@@ -93,7 +74,7 @@ type prepared = {
   advice_bits : int;
 }
 
-let prepare ?(slack = 2) (Shade { scheme; verify; _ }) g =
+let prepare ?(slack = 2) (Registry.Impl { scheme; verify; _ }) g =
   let reference = Scheme.run scheme g in
   let reference_leader =
     match verify g reference.Scheme.outputs with
@@ -107,7 +88,7 @@ let prepare ?(slack = 2) (Shade { scheme; verify; _ }) g =
   let max_rounds = reference.Scheme.rounds + slack in
   let classify op =
     let advice = mutate ~oracle:scheme.Scheme.oracle g op in
-    match Scheme.run_with_advice ~max_rounds scheme g ~advice with
+    match Scheme.run ~max_rounds scheme g ~advice with
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception Engine.Did_not_terminate r ->
         Detected

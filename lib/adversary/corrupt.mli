@@ -46,25 +46,17 @@ val mutate :
 (** The corrupted advice for [g].
     @raise Invalid_argument on an out-of-range position. *)
 
-(** One shade packed with its referee, existentially over the output
+type shade = Shades_election.Registry.impl
+(** One shade packed with its referee, existentially over the payload
     type — campaigns iterate uniformly over all four. *)
-type shade =
-  | Shade : {
-      task : Shades_election.Task.kind;
-      scheme : 'o Shades_election.Scheme.t;
-      verify :
-        Shades_graph.Port_graph.t ->
-        'o array ->
-        (Shades_graph.Port_graph.vertex, string) result;
-    }
-      -> shade
 
 val task_of : shade -> Shades_election.Task.kind
 
 val map_shades : shade list
-(** The four map-advice schemes ({!Shades_election.Map_advice}) with
-    their {!Shades_election.Verify} referees, in S, PE, PPE, CPPE
-    order — the campaign's default targets. *)
+(** The campaign's default targets, in S, PE, PPE, CPPE order: the
+    task registry ({!Shades_election.Registry}) with S's scheme swapped
+    for {!Shades_election.Map_advice.selection}, so all four shades
+    decode the same map advice. *)
 
 type classification =
   | Detected of { reason : string }

@@ -22,10 +22,11 @@ let run ?max_rounds (scheme : _ Scheme.t) g ~faults =
   let faults = normalize ~n faults in
   let advice = scheme.Scheme.oracle g in
   match
-    Full_info.run_adaptive_with_faults ?max_rounds g ~advice
-      ~rounds_of:scheme.Scheme.rounds_of ~decide:scheme.Scheme.decide ~faults
+    Engine.run_with_faults ?max_rounds ~msg_size:Full_info.msg_size g ~advice
+      ~faults
+      (Scheme.algorithm scheme ~advice)
   with
-  | outputs, rounds ->
+  | { Engine.outputs; rounds; _ } ->
       let decided =
         Array.fold_left
           (fun acc o -> if Option.is_some o then acc + 1 else acc)

@@ -1,5 +1,7 @@
 module Port_graph = Shades_graph.Port_graph
 module Scheme = Shades_election.Scheme
+module Async_engine = Shades_localsim.Async_engine
+module Full_info = Shades_localsim.Full_info
 
 (* delays.(v).(p): the fixed virtual-time delay of every wire pushed on
    port [p] of sender [v].  Round-independent by design: the
@@ -41,8 +43,12 @@ let set plan ~v ~port d =
   delays.(v).(port) <- d;
   { delays }
 
-let makespan scheme g plan =
-  snd (Scheme.run_plan ~delay:(delay_fn plan) scheme g)
+let makespan (scheme : _ Scheme.t) g plan =
+  let advice = scheme.Scheme.oracle g in
+  snd
+    (Async_engine.run_plan ~delay:(delay_fn plan) ~msg_size:Full_info.msg_size
+       g ~advice
+       (Scheme.algorithm scheme ~advice))
 
 let sweep_seeds scheme g ~seeds =
   List.map (fun seed -> (seed, makespan scheme g (of_seed g ~seed))) seeds

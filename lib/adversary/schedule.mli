@@ -42,7 +42,8 @@ val set : plan -> v:int -> port:int -> float -> plan
 val makespan :
   'o Shades_election.Scheme.t -> Shades_graph.Port_graph.t -> plan -> float
 (** Run the scheme asynchronously under the plan and report the virtual
-    completion time ({!Shades_election.Scheme.run_plan}). *)
+    completion time ({!Shades_localsim.Async_engine.run_plan} over the
+    scheme's {!Shades_localsim.Full_info.algorithm}). *)
 
 val sweep_seeds :
   'o Shades_election.Scheme.t ->

@@ -1,3 +1,5 @@
+module Exec = Shades_localsim.Exec
+
 type 'o t = {
   name : string;
   oracle : Shades_graph.Port_graph.t -> Shades_bits.Bitstring.t;
@@ -7,40 +9,23 @@ type 'o t = {
 
 type 'o run = { outputs : 'o array; rounds : int; advice_bits : int }
 
-let run_with_advice ?max_rounds ?on_round ?tracer scheme g ~advice =
-  let outputs, rounds =
-    Shades_localsim.Full_info.run_adaptive ?max_rounds ?on_round ?tracer g
-      ~advice ~rounds_of:scheme.rounds_of ~decide:scheme.decide
-  in
-  { outputs; rounds; advice_bits = Shades_bits.Bitstring.length advice }
+let algorithm scheme ~advice =
+  Shades_localsim.Full_info.algorithm ~rounds_of:scheme.rounds_of
+    ~decide:(fun view -> scheme.decide ~advice view)
 
-let run ?on_round ?tracer scheme g =
-  run_with_advice ?on_round ?tracer scheme g ~advice:(scheme.oracle g)
-
-let run_sharded_with_advice ?domains ?on_round ?tracer scheme g ~advice =
+let run ?exec ?advice ?max_rounds ?on_round ?tracer scheme g =
+  let advice = match advice with Some a -> a | None -> scheme.oracle g in
   let outputs, rounds =
-    Shades_localsim.Full_info.run_adaptive_sharded ?domains ?on_round ?tracer
+    Shades_localsim.Full_info.run_adaptive ?exec ?max_rounds ?on_round ?tracer
       g ~advice ~rounds_of:scheme.rounds_of ~decide:scheme.decide
   in
   { outputs; rounds; advice_bits = Shades_bits.Bitstring.length advice }
 
-let run_sharded ?domains ?on_round ?tracer scheme g =
-  run_sharded_with_advice ?domains ?on_round ?tracer scheme g
-    ~advice:(scheme.oracle g)
+let run_with_advice ?max_rounds ?on_round ?tracer scheme g ~advice =
+  run ~advice ?max_rounds ?on_round ?tracer scheme g
 
-let run_async ?seed ?on_round ?tracer scheme g =
-  let advice = scheme.oracle g in
-  let outputs, rounds =
-    Shades_localsim.Full_info.run_adaptive_async ?seed ?on_round ?tracer g
-      ~advice ~rounds_of:scheme.rounds_of ~decide:scheme.decide
-  in
-  { outputs; rounds; advice_bits = Shades_bits.Bitstring.length advice }
+let run_async ?(seed = 0) ?on_round ?tracer scheme g =
+  run ~exec:(Exec.Async { seed }) ?on_round ?tracer scheme g
 
-let run_plan ~delay ?on_round ?tracer scheme g =
-  let advice = scheme.oracle g in
-  let outputs, rounds, makespan =
-    Shades_localsim.Full_info.run_adaptive_plan ~delay ?on_round ?tracer g
-      ~advice ~rounds_of:scheme.rounds_of ~decide:scheme.decide
-  in
-  ( { outputs; rounds; advice_bits = Shades_bits.Bitstring.length advice },
-    makespan )
+let run_sharded_with_advice ?domains ?on_round ?tracer scheme g ~advice =
+  run ~exec:(Exec.Sharded { domains }) ~advice ?on_round ?tracer scheme g

@@ -25,27 +25,62 @@ type 'o run = {
   advice_bits : int;  (** length of the advice string *)
 }
 
+(** The scheme's node algorithm with the common [advice] applied: the
+    view-exchange protocol ({!Shades_localsim.Full_info.algorithm})
+    deciding by [decide ~advice].  It is what {!run} executes; adversary
+    experiments hand it to the engine entry points that are not
+    execution modes ({!Shades_localsim.Engine.run_with_faults},
+    {!Shades_localsim.Async_engine.run_plan}).  One value serves one
+    run. *)
+val algorithm :
+  'o t ->
+  advice:Shades_bits.Bitstring.t ->
+  ( Shades_views.View_tree.t Shades_localsim.Full_info.state,
+    Shades_views.View_tree.t Shades_localsim.Full_info.msg,
+    'o )
+  Shades_localsim.Engine.algorithm
+
 (** Execute the scheme on [g] through the LOCAL simulator (the node
-    algorithm really exchanges messages; nothing is shortcut).
-    [on_round] is forwarded to the engine: per-round telemetry (round
-    number, cumulative messages) for the sweep runtime.  [tracer]
-    receives every execution event ({!Shades_trace.Event}) in the
-    engine's deterministic order — attach a
-    {!Shades_trace.Trace.recorder} to capture a replayable trace. *)
+    algorithm really exchanges messages; nothing is shortcut) — the one
+    run function.
+
+    - [exec] chooses how the rounds execute (default
+      {!Shades_localsim.Exec.Sync}).  Outputs and round count are the
+      same under every execution; [Sharded] also reproduces the
+      telemetry and trace stream, while [Async] traces additionally
+      carry synchronizer markers (see
+      {!Shades_localsim.Async_engine.run}).
+    - [advice] forces the advice string instead of consulting the
+      oracle — the primitive for fooling experiments, where the
+      pigeonhole forces one string to serve two graphs, and for the
+      daemon's advice cache.
+    - [max_rounds] caps the engine's round budget: corruption campaigns
+      set it near the reference round count so corrupted advice
+      demanding an absurd view depth aborts with
+      {!Shades_localsim.Engine.Did_not_terminate} instead of exchanging
+      exponentially growing views.
+    - [on_round] is forwarded to the engine: per-round telemetry (round
+      number, cumulative messages) for the sweep runtime.
+    - [tracer] receives every execution event ({!Shades_trace.Event})
+      in the engine's deterministic order — attach a
+      {!Shades_trace.Trace.recorder} to capture a replayable trace. *)
 val run :
+  ?exec:Shades_localsim.Exec.t ->
+  ?advice:Shades_bits.Bitstring.t ->
+  ?max_rounds:int ->
   ?on_round:(round:int -> messages:int -> unit) ->
   ?tracer:(Shades_trace.Event.t -> unit) ->
   'o t ->
   Shades_graph.Port_graph.t ->
   'o run
 
-(** [run_with_advice scheme g ~advice] runs the distributed part under a
-    forced advice string — the primitive for fooling experiments, where
-    the pigeonhole forces one string to serve two graphs.  [max_rounds]
-    caps the engine's round budget: corruption campaigns set it near the
-    reference round count so corrupted advice demanding an absurd view
-    depth aborts with {!Shades_localsim.Engine.Did_not_terminate}
-    instead of exchanging exponentially growing views. *)
+(** {1 Fixed-label applications of [run]}
+
+    Each is one application of {!run}, kept only because the
+    repository benchmark ([perfbench/]), whose sources are frozen,
+    calls them with these labels.  New code calls {!run}. *)
+
+(** [run ~advice]. *)
 val run_with_advice :
   ?max_rounds:int ->
   ?on_round:(round:int -> messages:int -> unit) ->
@@ -55,36 +90,7 @@ val run_with_advice :
   advice:Shades_bits.Bitstring.t ->
   'o run
 
-(** Like {!run}, executed on the vertex-sharded parallel engine
-    ({!Shades_localsim.Sharded_engine}) with [domains] worker domains.
-    Outputs, round count, telemetry, and the trace stream are identical
-    to {!run} for every domain count — sharding is an execution
-    strategy, invisible in results and traces. *)
-val run_sharded :
-  ?domains:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  'o t ->
-  Shades_graph.Port_graph.t ->
-  'o run
-
-(** {!run_sharded} under a forced advice string — the sharded analogue
-    of {!run_with_advice}, and what the election daemon uses to serve
-    sharded requests against its advice cache. *)
-val run_sharded_with_advice :
-  ?domains:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  'o t ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  'o run
-
-(** Asynchronous execution (seeded adversarial delays, α-synchronizer):
-    same outputs and round count as {!run} — the paper's remark that the
-    synchronous LOCAL process survives asynchrony via time-stamps.
-    Traced events additionally include [Sync_marker]s; see
-    {!Shades_localsim.Async_engine.run}. *)
+(** [run ~exec:(Async {seed})], [seed] defaulting to 0. *)
 val run_async :
   ?seed:int ->
   ?on_round:(round:int -> messages:int -> unit) ->
@@ -93,15 +99,12 @@ val run_async :
   Shades_graph.Port_graph.t ->
   'o run
 
-(** Asynchronous execution under an {e explicit} delay plan
-    ({!Shades_localsim.Async_engine.run_plan}); additionally returns the
-    makespan — the virtual completion time the adversary's assignment
-    achieved.  Outputs and rounds are plan-invariant; the makespan is
-    what {!Shades_adversary.Schedule} maximizes. *)
-val run_plan :
-  delay:(round:int -> v:int -> port:int -> float) ->
+(** [run ~exec:(Sharded {domains}) ~advice]. *)
+val run_sharded_with_advice :
+  ?domains:int ->
   ?on_round:(round:int -> messages:int -> unit) ->
   ?tracer:(Shades_trace.Event.t -> unit) ->
   'o t ->
   Shades_graph.Port_graph.t ->
-  'o run * float
+  advice:Shades_bits.Bitstring.t ->
+  'o run

@@ -7,7 +7,7 @@
     Algorithm: decode the view, read off its height [h] (= ψ_S(G)),
     gather [B^h] in [h] rounds, output leader iff it equals the advice.
 
-    Advice size is O((∆-1)^{ψ_S} · log ∆) bits — polynomial in ∆: the
+    Advice size is [O((∆-1)^{ψ_S} · log ∆)] bits — polynomial in ∆: the
     cheap side of every separation in the paper. *)
 
 (** The scheme. The oracle

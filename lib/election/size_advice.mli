@@ -10,8 +10,8 @@
     rigid, so every node obtains the same map and locates itself
     uniquely), and routes to the canonical vertex 0.
 
-    Contrast: on U_{∆,k} at minimum time k, PE needs
-    Ω((∆−1)^{(∆−2)(∆−1)^{k−1}} log ∆) advice bits; at time 2(n−1) it
+    Contrast: on [U_{∆,k}] at minimum time k, PE needs
+    [Ω((∆−1)^{(∆−2)(∆−1)^{k−1}} log ∆)] advice bits; at time 2(n−1) it
     needs ⌈log n⌉ + O(1).
 
     Schemes run through {!Shades_localsim.Compact_info} (hash-consed

@@ -15,6 +15,10 @@ val all : kind list
 
 val kind_to_string : kind -> string
 
+val of_string : string -> (kind, string) result
+(** ["s"], ["pe"], ["ppe"] or ["cppe"] (case-insensitive) — the task
+    spelling of the CLI and the daemon's wire protocol alike. *)
+
 (** A node's answer for a task whose non-leader payload has type ['a]:
     [unit] for S, [int] for PE, [int list] for PPE and
     [(int * int) list] for CPPE. *)
@@ -24,3 +28,13 @@ val answer_equal : ('a -> 'a -> bool) -> 'a answer -> 'a answer -> bool
 
 val pp_answer :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a answer -> unit
+
+(** The shape of a non-leader's payload, as a type witness: matching on
+    it tells the type checker what ['p] is, so codecs and printers can
+    be written once over all four tasks. *)
+type _ payload =
+  | Unit : unit payload  (** S: a follower says nothing more *)
+  | Port : int payload  (** PE: the first port towards the leader *)
+  | Ports : int list payload  (** PPE: the outgoing ports of a path *)
+  | Port_pairs : (int * int) list payload
+      (** CPPE: both ports of every edge of a path *)

@@ -1,48 +1,15 @@
 module Cview = Shades_views.Cview
 
-type state = { target : int; view : Cview.t }
-
-type msg = { from_port : int; view : Cview.t }
-
-let algorithm ctx ~rounds_of ~decide =
-  {
-    Engine.init =
-      (fun ~degree ~advice ->
-        {
-          target = rounds_of ~advice ~degree;
-          view = Cview.make ctx ~degree ~children:[||];
-        });
-    send =
-      (fun st ~port ->
-        if st.target = 0 then None
-        else Some { from_port = port; view = st.view });
-    step =
-      (fun st inbox ->
-        if st.target = 0 then st
-        else begin
-          let degree = st.view.Cview.degree in
-          assert (List.length inbox = degree);
-          let children = Array.make degree (0, st.view) in
-          List.iter (fun (p, m) -> children.(p) <- (m.from_port, m.view)) inbox;
-          { target = st.target - 1; view = Cview.make ctx ~degree ~children }
-        end);
-    output =
-      (fun st -> if st.target = 0 then Some (decide st.view) else None);
-  }
-
 let run_adaptive g ~advice ~rounds_of ~decide =
   let ctx = Cview.create_ctx () in
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
   let result =
     Engine.run g ~advice
-      (algorithm ctx ~rounds_of ~decide:(fun view -> decide ~advice ctx view))
+      (Full_info.exchange
+         ~leaf:(fun degree -> Cview.make ctx ~degree ~children:[||])
+         ~node:(fun degree children -> Cview.make ctx ~degree ~children)
+         ~degree_of:(fun view -> view.Cview.degree)
+         ~rounds_of
+         ~decide:(fun view -> decide ~advice ctx view))
   in
   (result.Engine.outputs, result.Engine.rounds)
 

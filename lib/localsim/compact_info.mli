@@ -1,7 +1,7 @@
 (** The full-information protocol with hash-consed views.
 
-    Identical semantics to {!Full_info} — after [r] rounds each node
-    holds exactly [B^r] — but views are interned in one shared
+    The same protocol, {!Full_info.exchange} — after [r] rounds each
+    node holds exactly [B^r] — but views are interned in one shared
     {!Shades_views.Cview.ctx}, so deep exchanges (e.g. the
     [2(n-1)]-round runs of the time-vs-advice tradeoff) stay polynomial.
     Sharing the interning table across nodes is an implementation

@@ -1,25 +1,30 @@
 module View_tree = Shades_views.View_tree
 
-type state = {
+type 'v state = {
   target : int; (* rounds of view exchange still to perform *)
-  view : View_tree.t; (* B^r after r executed rounds *)
+  view : 'v; (* B^r after r executed rounds *)
 }
 
 (* Messages carry the sending port: the receiver on its port [p] needs
    the far-end port [q] of that edge to extend its view, and the engine
    only reports arrival ports. *)
-type msg = { from_port : int; view : View_tree.t }
+type 'v msg = { from_port : int; view : 'v }
 
 (* One round: send (my port, B^r) on every port; B^{r+1} is rebuilt from
    my degree and the received (far port, neighbour's B^r) pairs. *)
-let algorithm ~rounds_of ~decide =
+let exchange ~leaf ~node ~degree_of ~rounds_of ~decide =
+  let decided = ref None in
+  let rounds_of ~advice ~degree =
+    let r = rounds_of ~advice ~degree in
+    (match !decided with
+    | None -> decided := Some r
+    | Some r' -> assert (r = r'));
+    r
+  in
   {
     Engine.init =
       (fun ~degree ~advice ->
-        {
-          target = rounds_of ~advice ~degree;
-          view = { View_tree.degree; children = [||] };
-        });
+        { target = rounds_of ~advice ~degree; view = leaf degree });
     send =
       (fun st ~port ->
         if st.target = 0 then None
@@ -28,98 +33,31 @@ let algorithm ~rounds_of ~decide =
       (fun st inbox ->
         if st.target = 0 then st
         else begin
-          let degree = st.view.View_tree.degree in
+          let degree = degree_of st.view in
           assert (List.length inbox = degree);
           let children = Array.make degree (0, st.view) in
           List.iter
             (fun (p, m) -> children.(p) <- (m.from_port, m.view))
             inbox;
-          { target = st.target - 1; view = { View_tree.degree; children } }
+          { target = st.target - 1; view = node degree children }
         end);
     output =
       (fun st -> if st.target = 0 then Some (decide st.view) else None);
   }
 
-(* The traced size of a view-exchange message: the node count of the
-   carried view — a pure function of the message, as replay requires. *)
+let algorithm ~rounds_of ~decide =
+  exchange
+    ~leaf:(fun degree -> { View_tree.degree; children = [||] })
+    ~node:(fun degree children -> { View_tree.degree; children })
+    ~degree_of:(fun view -> view.View_tree.degree)
+    ~rounds_of ~decide
+
 let msg_size m = View_tree.node_count m.view
 
-let run_adaptive ?max_rounds ?on_round ?tracer g ~advice ~rounds_of ~decide =
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
-  let result =
-    Engine.run ?max_rounds ?on_round ?tracer ~msg_size g ~advice
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds)
-
-let run_adaptive_sharded ?domains ?on_round ?tracer g ~advice ~rounds_of
+let run_adaptive ?exec ?max_rounds ?on_round ?tracer g ~advice ~rounds_of
     ~decide =
-  let decided = ref None in
-  (* Safe under sharding: [rounds_of] is only called from [init], which
-     Sharded_engine runs sequentially in the calling domain. *)
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
   let result =
-    Sharded_engine.run ?domains ?on_round ?tracer ~msg_size g ~advice
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds)
-
-let run_adaptive_async ?seed ?on_round ?tracer g ~advice ~rounds_of ~decide =
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
-  let result =
-    Async_engine.run ?seed ?on_round ?tracer ~msg_size g ~advice
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds)
-
-let run_adaptive_plan ~delay ?on_round ?tracer g ~advice ~rounds_of ~decide =
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
-  let result, makespan =
-    Async_engine.run_plan ~delay ?on_round ?tracer ~msg_size g ~advice
-      (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
-  in
-  (result.Engine.outputs, result.Engine.rounds, makespan)
-
-let run_adaptive_with_faults ?max_rounds ?on_round ?tracer g ~advice
-    ~rounds_of ~decide ~faults =
-  let decided = ref None in
-  let rounds_of ~advice ~degree =
-    let r = rounds_of ~advice ~degree in
-    (match !decided with
-    | None -> decided := Some r
-    | Some r' -> assert (r = r'));
-    r
-  in
-  let result =
-    Engine.run_with_faults ?max_rounds ?on_round ?tracer ~msg_size g ~advice
-      ~faults
+    Exec.run ?exec ?max_rounds ?on_round ?tracer ~msg_size g ~advice
       (algorithm ~rounds_of ~decide:(fun view -> decide ~advice view))
   in
   (result.Engine.outputs, result.Engine.rounds)

@@ -8,100 +8,74 @@
     so every minimum-time algorithm can be phrased as
     "gather [B^r], then decide". *)
 
-(** [run g ~rounds ~advice ~decide] executes the view-exchange protocol
-    for exactly [rounds] rounds at every node and applies
-    [decide ~advice view] to each node's [B^rounds].  Returns the
-    decisions (vertex-indexed) — the engine guarantees [rounds] rounds
-    were used (0 allowed). *)
+type 'v state
+(** A node's protocol state: rounds still to run and its view so far,
+    in view representation ['v]. *)
+
+type 'v msg
+(** One view-exchange message: the sender's port and its current view. *)
+
+val exchange :
+  leaf:(int -> 'v) ->
+  node:(int -> (int * 'v) array -> 'v) ->
+  degree_of:('v -> int) ->
+  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
+  decide:('v -> 'o) ->
+  ('v state, 'v msg, 'o) Engine.algorithm
+(** The view-exchange protocol as an engine algorithm, over any view
+    representation: [leaf d] is [B^0] of a degree-[d] node, [node d
+    children] is the view whose port [p] leads to [children.(p)] (far
+    port, neighbour's view), and [degree_of] reads a view's root degree.
+    Each node computes its round count from the advice and its degree
+    before communicating; all paper algorithms derive a common count
+    from the advice, so the values coincide across nodes — this is
+    asserted, which is why one value serves exactly one run (build a
+    fresh one per run).  [decide] maps the node's [B^r] to its output,
+    the common advice already applied.  [rounds_of] is only called from
+    the engines' [init], which every engine runs sequentially in the
+    calling domain. *)
+
+val algorithm :
+  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
+  decide:(Shades_views.View_tree.t -> 'o) ->
+  (Shades_views.View_tree.t state, Shades_views.View_tree.t msg, 'o)
+  Engine.algorithm
+(** {!exchange} on explicit view trees — the protocol every paper
+    scheme runs, runnable by any engine entry point ({!Exec.run},
+    {!Engine.run_with_faults}, {!Async_engine.run_plan}). *)
+
+val msg_size : Shades_views.View_tree.t msg -> int
+(** The traced size of a message: the node count of the carried view —
+    a pure function of the message, as replay requires. *)
+
+val run_adaptive :
+  ?exec:Exec.t ->
+  ?max_rounds:int ->
+  ?on_round:(round:int -> messages:int -> unit) ->
+  ?tracer:(Shades_trace.Event.t -> unit) ->
+  Shades_graph.Port_graph.t ->
+  advice:Shades_bits.Bitstring.t ->
+  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
+  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
+  'o array * int
+(** {!algorithm} executed by {!Exec.run} under [exec] (default
+    {!Exec.Sync}); returns the decisions (vertex-indexed) and the
+    common round count.  Outputs and rounds are the same for every
+    [exec]; under [Sharded], [decide] runs on worker domains and must
+    tolerate concurrent calls on distinct views (every decision
+    procedure in this repository only reads immutable oracle-built
+    tables).  [max_rounds], [on_round] and [tracer] are forwarded to
+    the engine — corruption campaigns cap [max_rounds] near the
+    reference round count so a corrupted advice string demanding an
+    absurd view depth aborts cheaply with {!Engine.Did_not_terminate};
+    traced message sizes are {!msg_size}. *)
+
 val run :
   Shades_graph.Port_graph.t ->
   rounds:int ->
   advice:Shades_bits.Bitstring.t ->
   decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
   'o array
-
-(** Like {!run} but the number of rounds is computed per-node from the
-    advice and the node's degree before communication starts (all paper
-    algorithms derive a common round count from the advice, so the
-    values coincide across nodes; this is asserted). Returns decisions
-    and the common round count.  [on_round] and [tracer] are forwarded
-    to {!Engine.run} — per-round telemetry and event tracing for the
-    sweep runtime; traced message sizes are view-tree node counts.
-    [max_rounds] is forwarded to {!Engine.run} — corruption campaigns
-    cap it near the reference round count so a corrupted advice string
-    demanding an absurd view depth aborts cheaply with
-    {!Engine.Did_not_terminate} instead of exchanging exponentially
-    growing views. *)
-val run_adaptive :
-  ?max_rounds:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  'o array * int
-
-(** {!run_adaptive} under a crash-stop fault plan
-    ({!Engine.run_with_faults}); crashed nodes have [None] outputs.
-    Honest caveat: the view-exchange protocol {e assumes} a message on
-    every port each round (the paper's algorithms are not
-    fault-tolerant), so a live neighbour of a crashed node raises
-    [Assert_failure] at its first post-crash step — callers classify
-    that abort rather than hide it ({!Shades_adversary.Fault}). *)
-val run_adaptive_with_faults :
-  ?max_rounds:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  faults:Engine.crash list ->
-  'o option array * int
-
-(** Like {!run_adaptive} but executed through {!Sharded_engine}:
-    vertices are partitioned across [domains] worker domains (default
-    {!Sharded_engine.default_domains}).  Outputs, round count, per-round
-    telemetry, and the trace stream are identical to {!run_adaptive} for
-    every domain count — sharding is an execution strategy, not a model
-    change.  [decide] runs on worker domains and must tolerate
-    concurrent calls on distinct views (all decision procedures in this
-    repository only read immutable oracle-built tables). *)
-val run_adaptive_sharded :
-  ?domains:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  'o array * int
-
-(** Like {!run_adaptive} but executed through {!Async_engine}: messages
-    suffer (seeded) adversarial delays and the α-synchronizer recovers
-    round structure from time-stamps.  Outputs and the reported round
-    count coincide with the synchronous run. *)
-val run_adaptive_async :
-  ?seed:int ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  'o array * int
-
-(** Like {!run_adaptive_async} but with an explicit delay plan
-    ({!Async_engine.run_plan}); additionally returns the makespan —
-    the quantity {!Shades_adversary.Schedule} searches over.  Outputs
-    and round count remain plan-invariant. *)
-val run_adaptive_plan :
-  delay:(round:int -> v:int -> port:int -> float) ->
-  ?on_round:(round:int -> messages:int -> unit) ->
-  ?tracer:(Shades_trace.Event.t -> unit) ->
-  Shades_graph.Port_graph.t ->
-  advice:Shades_bits.Bitstring.t ->
-  rounds_of:(advice:Shades_bits.Bitstring.t -> degree:int -> int) ->
-  decide:(advice:Shades_bits.Bitstring.t -> Shades_views.View_tree.t -> 'o) ->
-  'o array * int * float
+(** [run g ~rounds ~advice ~decide] executes the view-exchange protocol
+    for exactly [rounds] rounds at every node (0 allowed) and applies
+    [decide ~advice view] to each node's [B^rounds]. *)

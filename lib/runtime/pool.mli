@@ -2,7 +2,8 @@
 
     The implementation moved to its own library so the LOCAL simulator
     (which the runtime depends on) can reuse [Crew] workers and
-    barriers; every existing [Shades_runtime.Pool] caller keeps
-    compiling unchanged. *)
+    barriers.  The alias stays because the repository benchmark
+    ([perfbench/serve.ml]), whose sources are frozen, reaches the pool
+    as [Shades_runtime.Pool]. *)
 
 include module type of Shades_pool

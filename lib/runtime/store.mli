@@ -13,16 +13,11 @@
     two encodings of the same sweep are byte-identical regardless of
     the domain count that produced them. *)
 
-module Json = Shades_json.Json
-(** The shared JSON substrate ({!Shades_json.Json}), re-exported under
-    its historical path — every store, manifest and report codec in the
-    repository speaks this one dialect. *)
-
 val schema_version : int
 (** Current record-layout version (bump on any layout change). *)
 
 type record = {
-  params : (string * Json.t) list;  (** the sweep point, e.g. delta/k *)
+  params : (string * Shades_json.Json.t) list;  (** the sweep point, e.g. delta/k *)
   rounds : int;
   messages : int;
   advice_bits : int;
@@ -37,7 +32,7 @@ val make : ?label:string -> record list -> t
 
 val metric : record -> string -> Metrics.value option
 
-val json_of_metric : Metrics.value -> Json.t
+val json_of_metric : Metrics.value -> Shades_json.Json.t
 (** One instrument as a tagged JSON object ([{"kind": "counter", ...}]
     etc.) — the encoding records use, shared with the daemon's [stats]
     endpoint so metric snapshots render identically everywhere. *)
@@ -94,7 +89,7 @@ module Sharded : sig
 
   type shard = {
     file : string;  (** file name inside the store directory *)
-    slice : (string * Json.t) list;  (** the slice key, e.g. family+delta *)
+    slice : (string * Shades_json.Json.t) list;  (** the slice key, e.g. family+delta *)
     digest : string;  (** hex MD5 of the canonical shard encoding *)
     records : int;
   }
@@ -104,19 +99,19 @@ module Sharded : sig
   val manifest_file : string
   (** ["manifest.json"]. *)
 
-  val default_slice : record -> (string * Json.t) list
+  val default_slice : record -> (string * Shades_json.Json.t) list
   (** The [family] and [delta] params of the record (those present). *)
 
   val digest_of_store : t -> string
   (** Hex MD5 of [encode (strip_timing store)]. *)
 
-  val shard : ?slice:(record -> (string * Json.t) list) -> t -> (shard * t) list
+  val shard : ?slice:(record -> (string * Shades_json.Json.t) list) -> t -> (shard * t) list
   (** Partition a store by [slice] (default {!default_slice}):
       shards in first-appearance order, records in store order within
       each shard, so a store whose records are grouped by slice — as
       sweep grid order is — reassembles identically. *)
 
-  val save : ?slice:(record -> (string * Json.t) list) -> dir:string -> t -> manifest
+  val save : ?slice:(record -> (string * Shades_json.Json.t) list) -> dir:string -> t -> manifest
   (** Write shard files and the manifest under [dir] (created if
       missing).  A shard whose digest the existing manifest already
       lists is left untouched on disk; shard files from a previous
@@ -132,7 +127,7 @@ module Sharded : sig
   (** Reassemble the full store, shards in manifest order. *)
 
   val diff :
-    ?slice:(record -> (string * Json.t) list) ->
+    ?slice:(record -> (string * Shades_json.Json.t) list) ->
     baseline_dir:string ->
     t ->
     ((string * change) list, string) result

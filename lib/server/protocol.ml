@@ -123,13 +123,7 @@ let error_response ~code message =
 
 (* --- tasks --- *)
 
-let task_of_string s =
-  match String.lowercase_ascii s with
-  | "s" -> Ok Task.S
-  | "pe" -> Ok Task.PE
-  | "ppe" -> Ok Task.PPE
-  | "cppe" -> Ok Task.CPPE
-  | t -> Error ("unknown task: " ^ t ^ " (expected s, pe, ppe, cppe)")
+let task_of_string = Task.of_string
 
 (* --- graphs --- *)
 

@@ -3,9 +3,8 @@ module Port_graph = Shades_graph.Port_graph
 module Bitstring = Shades_bits.Bitstring
 module Task = Shades_election.Task
 module Scheme = Shades_election.Scheme
-module Verify = Shades_election.Verify
-module Select_by_view = Shades_election.Select_by_view
-module Map_advice = Shades_election.Map_advice
+module Registry = Shades_election.Registry
+module Exec = Shades_localsim.Exec
 module Metrics = Shades_runtime.Metrics
 module Store = Shades_runtime.Store
 module Trace = Shades_trace.Trace
@@ -116,83 +115,52 @@ let set_parallel t parallel = t.parallel <- parallel
 let uptime_seconds t =
   float_of_int (Metrics.now_ns () - t.started_ns) /. 1e9
 
-(* --- per-task dispatch ---
+(* --- payload codecs ---
 
-   One existential record per task bundles the minimum-time scheme with
-   its referee and the JSON codec of its payload, so every endpoint
-   dispatches through the same four-way table. *)
+   Derived from the registry's payload witness, so every endpoint
+   speaks the same JSON for the same task. *)
 
-type impl =
-  | Impl : {
-      scheme : 'p Task.answer Scheme.t;
-      verify :
-        Port_graph.t -> 'p Task.answer array -> (Port_graph.vertex, string) result;
-      payload_to_json : 'p -> Json.t;
-      payload_of_json : Json.t -> ('p, string) result;
-    }
-      -> impl
+let payload_to_json : type p. p Task.payload -> p -> Json.t = function
+  | Task.Unit -> fun () -> Json.String "follower"
+  | Task.Port -> fun p -> Json.Int p
+  | Task.Ports -> fun ps -> Json.List (List.map (fun p -> Json.Int p) ps)
+  | Task.Port_pairs ->
+      fun pairs ->
+        Json.List
+          (List.map (fun (p, q) -> Json.List [ Json.Int p; Json.Int q ]) pairs)
 
-let impl_of_task = function
-  | Task.S ->
-      Impl
-        {
-          scheme = Select_by_view.scheme;
-          verify = Verify.selection;
-          payload_to_json = (fun () -> Json.String "follower");
-          payload_of_json =
+let rec list_of_json elt err acc = function
+  | [] -> Ok (List.rev acc)
+  | j :: rest -> (
+      match elt j with
+      | Some x -> list_of_json elt err (x :: acc) rest
+      | None -> Error err)
+
+let payload_of_json : type p. p Task.payload -> Json.t -> (p, string) result =
+  function
+  | Task.Unit -> (
+      function
+      | Json.String "follower" -> Ok ()
+      | _ -> Error "S output must be \"leader\" or \"follower\"")
+  | Task.Port -> (
+      function
+      | Json.Int p -> Ok p
+      | _ -> Error "PE output must be \"leader\" or a port number")
+  | Task.Ports -> (
+      let err = "PPE output must be \"leader\" or a port list" in
+      function
+      | Json.List l ->
+          list_of_json (function Json.Int p -> Some p | _ -> None) err [] l
+      | _ -> Error err)
+  | Task.Port_pairs -> (
+      let err = "CPPE output must be \"leader\" or a [p, q] pair list" in
+      function
+      | Json.List l ->
+          list_of_json
             (function
-            | Json.String "follower" -> Ok ()
-            | _ -> Error "S output must be \"leader\" or \"follower\"");
-        }
-  | Task.PE ->
-      Impl
-        {
-          scheme = Map_advice.port_election;
-          verify = Verify.port_election;
-          payload_to_json = (fun p -> Json.Int p);
-          payload_of_json =
-            (function
-            | Json.Int p -> Ok p
-            | _ -> Error "PE output must be \"leader\" or a port number");
-        }
-  | Task.PPE ->
-      Impl
-        {
-          scheme = Map_advice.port_path_election;
-          verify = Verify.port_path_election;
-          payload_to_json = (fun ps -> Json.List (List.map (fun p -> Json.Int p) ps));
-          payload_of_json =
-            (let rec ports acc = function
-               | [] -> Ok (List.rev acc)
-               | Json.Int p :: rest -> ports (p :: acc) rest
-               | _ -> Error "PPE output must be \"leader\" or a port list"
-             in
-             function
-             | Json.List l -> ports [] l
-             | _ -> Error "PPE output must be \"leader\" or a port list");
-        }
-  | Task.CPPE ->
-      Impl
-        {
-          scheme = Map_advice.complete_port_path_election;
-          verify = Verify.complete_port_path_election;
-          payload_to_json =
-            (fun pairs ->
-              Json.List
-                (List.map
-                   (fun (p, q) -> Json.List [ Json.Int p; Json.Int q ])
-                   pairs));
-          payload_of_json =
-            (let rec pairs acc = function
-               | [] -> Ok (List.rev acc)
-               | Json.List [ Json.Int p; Json.Int q ] :: rest ->
-                   pairs ((p, q) :: acc) rest
-               | _ -> Error "CPPE output must be \"leader\" or a [p, q] pair list"
-             in
-             function
-             | Json.List l -> pairs [] l
-             | _ -> Error "CPPE output must be \"leader\" or a [p, q] pair list");
-        }
+              | Json.List [ Json.Int p; Json.Int q ] -> Some (p, q) | _ -> None)
+            err [] l
+      | _ -> Error err)
 
 let answer_to_json payload_to_json = function
   | Task.Leader -> Json.String "leader"
@@ -236,7 +204,7 @@ let canonical_digest t g =
 let advise_entry t g task =
   let digest = canonical_digest t g in
   let key = cache_key ~digest ~task in
-  let (Impl { scheme; _ }) = impl_of_task task in
+  let (Registry.Impl { scheme; _ }) = Registry.of_kind task in
   let entry, hit =
     Cache.find_or_compute t.advice key ~compute:(fun () ->
         Metrics.incr t.metrics "advise_computes";
@@ -270,7 +238,7 @@ let graph_exn req =
 let task_exn req =
   match member_exn "task" req with
   | Json.String s -> (
-      match Protocol.task_of_string s with
+      match Task.of_string s with
       | Ok k -> k
       | Error e -> failwith e)
   | _ -> failwith "\"task\" must be a string (s, pe, ppe, cppe)"
@@ -313,96 +281,76 @@ let advise t req =
          ("graph", graph_info g);
        ])
 
+let engine_error = "\"engine\" must be \"sync\", \"sharded\" or \"async\""
+
 let elect t req =
   let g = graph_exn req in
   let task = task_exn req in
-  (* "sharded" is the synchronous engine executed vertex-sharded across
-     worker domains — same results, telemetry and traces, so it shares
-     the sync path (cached advice included) and only the executor
-     differs.  "async" is a semantic variant with its own path. *)
-  let engine =
-    match Json.member "engine" req with
-    | None | Some (Json.String "sync") -> `Sync
-    | Some (Json.String "sharded") ->
-        let domains =
-          match Json.member "domains" req with
-          | Some (Json.Int d) when d >= 1 -> Some d
-          | None -> None
-          | Some _ -> failwith "\"domains\" must be a positive integer"
-        in
-        `Sharded domains
-    | Some (Json.String "async") ->
-        let seed =
-          match Json.member "seed" req with
-          | Some (Json.Int s) -> s
-          | None -> 0
-          | Some _ -> failwith "\"seed\" must be an integer"
-        in
-        `Async seed
-    | Some _ ->
-        failwith "\"engine\" must be \"sync\", \"sharded\" or \"async\""
-  in
-  let engine_name =
-    match engine with
-    | `Sync -> "sync"
-    | `Sharded _ -> "sharded"
-    | `Async seed -> Trace.engine_to_string (Trace.Async { seed })
+  (* The JSON type checks are the service's, the engine names
+     {!Exec}'s; [domains] and [seed] are read only for the engine that
+     uses them, so a malformed field another engine ignores is fine. *)
+  let exec =
+    let name =
+      match Json.member "engine" req with
+      | None -> "sync"
+      | Some (Json.String name) -> name
+      | Some _ -> failwith engine_error
+    in
+    let domains () =
+      match Json.member "domains" req with
+      | Some (Json.Int d) when d >= 1 -> Some d
+      | None -> None
+      | Some _ -> failwith "\"domains\" must be a positive integer"
+    in
+    let seed () =
+      match Json.member "seed" req with
+      | Some (Json.Int s) -> s
+      | None -> 0
+      | Some _ -> failwith "\"seed\" must be an integer"
+    in
+    match Exec.parse ~domains ~seed name with
+    | Ok exec -> exec
+    | Error _ -> failwith engine_error
   in
   (* The result key: every engine is deterministic (async per seed), so
      the whole reply is a pure function of (submitted encoding, task,
      engine, versions) and can be served from the result cache without
      touching oracle or engine.  The sharded engine is observationally
      identical to sync at any domain count, but echoes a different
-     engine name, so it gets its own key; the domain count itself is
-     deliberately absent. *)
-  let result_engine =
-    match engine with
-    | `Sync -> "sync"
-    | `Sharded _ -> "sharded"
-    | `Async seed -> Printf.sprintf "async-s%d" seed
-  in
+     engine name, so it gets its own key ({!Exec.key}). *)
   let key =
-    elect_key ~digest:(encoding_digest g) ~task ~engine:result_engine
+    elect_key ~digest:(encoding_digest g) ~task ~engine:(Exec.key exec)
   in
   let result, result_cached =
     Cache.find_or_compute t.results key ~compute:(fun () ->
         Metrics.incr t.metrics "elect_computes";
-        let (Impl { scheme; verify; payload_to_json; _ }) = impl_of_task task in
+        let (Registry.Impl { scheme; verify; payload; _ }) =
+          Registry.of_kind task
+        in
         let messages = ref 0 in
         let on_round ~round:_ ~messages:m = messages := m in
-        let digest, run, cached =
-          match engine with
-          | (`Sync | `Sharded _) as engine ->
+        let digest, advice, cached =
+          match exec with
+          | Exec.Sync | Exec.Sharded _ ->
               (* the sync path reuses the cached advice end-to-end: a warm
                  election never recomputes the oracle *)
               let digest, entry, cached = advise_entry t g task in
-              let run =
-                Metrics.time t.metrics "elect" (fun () ->
-                    match engine with
-                    | `Sync ->
-                        Scheme.run_with_advice ~on_round scheme g
-                          ~advice:entry.advice
-                    | `Sharded domains ->
-                        Scheme.run_sharded_with_advice ?domains ~on_round scheme g
-                          ~advice:entry.advice)
-              in
-              (digest, run, cached)
-          | `Async seed ->
+              (digest, Some entry.advice, cached)
+          | Exec.Async _ ->
               (* the α-synchronizer path exercises the full scheme (oracle
                  included) — it pins schedules, not advice reuse *)
-              let digest = canonical_digest t g in
-              let run =
-                Metrics.time t.metrics "elect" (fun () ->
-                    Scheme.run_async ~seed ~on_round scheme g)
-              in
-              (digest, run, false)
+              (canonical_digest t g, None, false)
+        in
+        let run =
+          Metrics.time t.metrics "elect" (fun () ->
+              Scheme.run ~exec ?advice ~on_round scheme g)
         in
         let verdict = verify g run.Scheme.outputs in
         Json.Obj
           [
             ("digest", Json.String digest);
             ("task", Json.String (Task.kind_to_string task));
-            ("engine", Json.String engine_name);
+            ("engine", Json.String (Exec.to_string exec));
             ("rounds", Json.Int run.Scheme.rounds);
             ("messages", Json.Int !messages);
             ("advice_bits", Json.Int run.Scheme.advice_bits);
@@ -413,7 +361,8 @@ let elect t req =
             ("outputs",
              Json.List
                (Array.to_list
-                  (Array.map (answer_to_json payload_to_json) run.Scheme.outputs)));
+                  (Array.map (answer_to_json (payload_to_json payload))
+                     run.Scheme.outputs)));
             ("graph", graph_info g);
           ])
   in
@@ -442,13 +391,13 @@ let verify_outputs t req =
   let result, cached =
     Cache.find_or_compute t.results key ~compute:(fun () ->
         Metrics.incr t.metrics "verify_computes";
-        let (Impl { verify; payload_of_json; _ }) = impl_of_task task in
+        let (Registry.Impl { verify; payload; _ }) = Registry.of_kind task in
         let outputs =
           match outputs_json with
           | Json.List l ->
               List.map
                 (fun j ->
-                  match answer_of_json payload_of_json j with
+                  match answer_of_json (payload_of_json payload) j with
                   | Ok a -> a
                   | Error e -> failwith ("bad output: " ^ e))
                 l
@@ -478,6 +427,26 @@ let verify_outputs t req =
   Protocol.ok_response ~op:"verify"
     (append_member "cached" (Json.Bool cached) result)
 
+(* `trace record` labels a recording "task graph-spec"; this is the one
+   reader of that label, shared with `trace replay`. *)
+let recorded_run (trace : Trace.t) =
+  let label = trace.Trace.meta.Trace.label in
+  let task, spec =
+    match String.index_opt label ' ' with
+    | Some i ->
+        ( String.sub label 0 i,
+          String.sub label (i + 1) (String.length label - i - 1) )
+    | None ->
+        failwith
+          ("trace label is not \"task graph-spec\" (was it recorded by `trace \
+            record`?): " ^ label)
+  in
+  let kind = match Task.of_string task with Ok k -> k | Error e -> failwith e in
+  let g = Spec.parse_exn spec in
+  let (Registry.Impl { scheme; _ }) = Registry.of_kind kind in
+  let exec = Exec.of_trace_engine trace.Trace.meta.Trace.engine in
+  ((task, spec), fun emit -> ignore (Scheme.run ~exec ~tracer:emit scheme g))
+
 (* The incremental path (cf. Belenios's verify-diff): the client
    uploads a full SHTR recording and the server re-executes it through
    the deterministic engines, failing on the first divergent event.
@@ -498,29 +467,10 @@ let verify_trace t req =
     | Error e -> failwith ("bad trace: " ^ e)
   in
   let label = trace.Trace.meta.Trace.label in
-  let task_str, spec =
-    match String.index_opt label ' ' with
-    | Some i ->
-        ( String.sub label 0 i,
-          String.sub label (i + 1) (String.length label - i - 1) )
-    | None ->
-        failwith
-          ("trace label is not \"task graph-spec\" (was it recorded by `trace \
-            record`?): " ^ label)
+  let _, rerun = recorded_run trace in
+  let outcome =
+    Metrics.time t.metrics "replay" (fun () -> Replay.run trace rerun)
   in
-  let task =
-    match Protocol.task_of_string task_str with
-    | Ok k -> k
-    | Error e -> failwith e
-  in
-  let g = Spec.parse_exn spec in
-  let (Impl { scheme; _ }) = impl_of_task task in
-  let exec emit =
-    match trace.Trace.meta.Trace.engine with
-    | Trace.Sync -> ignore (Scheme.run ~tracer:emit scheme g)
-    | Trace.Async { seed } -> ignore (Scheme.run_async ~seed ~tracer:emit scheme g)
-  in
-  let outcome = Metrics.time t.metrics "replay" (fun () -> Replay.run trace exec) in
   Protocol.ok_response ~op:"verify-trace"
     (Json.Obj
        ([

@@ -146,6 +146,17 @@ val handle : t -> Shades_json.Json.t -> reaction
     the batch is unaffected.  [batch] and [shutdown] are rejected
     per-item inside a batch (no nesting, no side-channel stops). *)
 
+val recorded_run :
+  Shades_trace.Trace.t ->
+  (string * string) * ((Shades_trace.Event.t -> unit) -> unit)
+(** The execution behind a recording made by [shades trace record],
+    whose label is ["task graph-spec"]: the label's two parts and the
+    re-run thunk {!Shades_trace.Replay.run} consumes (the task's
+    registry scheme on the spec's graph, under the recorded engine).
+    The [verify-trace] op and [shades trace replay] both use it.
+    @raise Failure on a label that is not ["task graph-spec"], an
+    unknown task or a bad graph spec. *)
+
 val stats_json : t -> Shades_json.Json.t
 (** The [stats] result payload (protocol/advice/result versions,
     uptime, cache-dir, per-cache occupancy and persistence, full

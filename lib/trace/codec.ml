@@ -41,37 +41,50 @@ let write_event w e =
   W.gamma w (W.length body);
   W.bits w (W.contents body)
 
+(* [R.gamma] inlined, because only a crafted blob holds a code wider
+   than the native int and [R.gamma] would decode it to garbage: a
+   unary prefix of [Sys.int_size] or more shifts past the word (the
+   shift is unspecified and wraps on amd64), and a prefix of
+   [Sys.int_size - 1] holds [max_int] or else wraps negative. *)
+let gamma r =
+  let width = R.unary r in
+  let n =
+    if width < Sys.int_size then (1 lsl width) + R.fixed r ~width - 1 else -1
+  in
+  if n < 0 then failwith "gamma-coded field overflows an int";
+  n
+
 let read_event r =
-  let body_len = R.gamma r in
+  let body_len = gamma r in
   if R.remaining r < body_len then failwith "truncated event body";
   let before = R.remaining r in
   let tag = R.fixed r ~width:3 in
   let e =
     match tag with
-    | 0 -> Event.Round_start { round = R.gamma r }
+    | 0 -> Event.Round_start { round = gamma r }
     | 1 ->
-        let v = R.gamma r in
-        let bits = R.gamma r in
+        let v = gamma r in
+        let bits = gamma r in
         Event.Advice_read { v; bits }
     | 2 | 3 ->
-        let round = R.gamma r in
-        let v = R.gamma r in
-        let port = R.gamma r in
-        let size = R.gamma r in
+        let round = gamma r in
+        let v = gamma r in
+        let port = gamma r in
+        let size = gamma r in
         if tag = 2 then Event.Send { round; v; port; size }
         else Event.Deliver { round; v; port; size }
     | 4 | 5 ->
-        let v = R.gamma r in
-        let round = R.gamma r in
+        let v = gamma r in
+        let round = gamma r in
         if tag = 4 then Event.Decide { v; round } else Event.Halt { v; round }
     | 6 ->
-        let round = R.gamma r in
-        let v = R.gamma r in
-        let port = R.gamma r in
+        let round = gamma r in
+        let v = gamma r in
+        let port = gamma r in
         Event.Sync_marker { round; v; port }
     | 7 ->
-        let v = R.gamma r in
-        let round = R.gamma r in
+        let v = gamma r in
+        let round = gamma r in
         Event.Crash { v; round }
     | t -> failwith (Printf.sprintf "unknown event tag %d" t)
   in
@@ -86,15 +99,26 @@ let write_signed w v =
 
 let read_signed r =
   let neg = R.bit r in
-  let m = R.gamma r in
+  let m = gamma r in
   if neg then -m else m
 
 let write_string w s =
   W.gamma w (String.length s);
   String.iter (fun c -> W.fixed w ~width:8 (Char.code c)) s
 
+(* A decoded count or length is untrusted: before anything is allocated
+   for it, it must fit the payload bits still unread at [unit] bits per
+   item. *)
+let read_bounded r ~unit ~what =
+  let n = gamma r in
+  if n > R.remaining r / unit then
+    failwith
+      (Printf.sprintf "%s %d exceeds the %d payload bits left" what n
+         (R.remaining r));
+  n
+
 let read_string r =
-  let n = R.gamma r in
+  let n = read_bounded r ~unit:8 ~what:"label length" in
   let b = Bytes.create n in
   for i = 0 to n - 1 do
     Bytes.set b i (Char.chr (R.fixed r ~width:8))
@@ -154,15 +178,23 @@ let open_blob s =
     end
   end
 
+(* Every event is at least as long as the shortest one, [Round_start
+   {round = 0}]: a one-bit field under a 3-bit tag, behind the gamma
+   code of that body length. *)
+let min_event_bits =
+  let w = W.create () in
+  write_event w (Event.Round_start { round = 0 });
+  W.length w
+
 let read_meta r =
   let engine =
     if R.bit r then Trace.Async { seed = read_signed r } else Trace.Sync
   in
-  let graph_order = R.gamma r in
-  let advice_bits = R.gamma r in
+  let graph_order = gamma r in
+  let advice_bits = gamma r in
   let label = read_string r in
-  let dropped = R.gamma r in
-  let count = R.gamma r in
+  let dropped = gamma r in
+  let count = read_bounded r ~unit:min_event_bits ~what:"event count" in
   ({ Trace.engine; graph_order; advice_bits; label }, dropped, count)
 
 let fold_events s ~init ~f =

@@ -25,7 +25,12 @@ val encode : Trace.t -> string
 
 val decode : string -> (Trace.t, string) result
 (** Inverse of {!encode}.  [Error] (never an exception) on bad magic, a
-    foreign format version, truncation, or any malformed event. *)
+    foreign format version, truncation, or any malformed event.
+    Bounded: a claimed event count or label length is checked against
+    the payload bits left before anything is allocated for it, so the
+    memory a blob can make [decode] allocate is proportional to the
+    blob's own size — the decoder is safe on untrusted bytes (the
+    daemon's [verify-trace] feeds it uploads). *)
 
 val write : path:string -> Trace.t -> unit
 (** {!encode} to a file (truncating any existing one). *)
@@ -38,4 +43,5 @@ val fold_events :
   string -> init:'a -> f:('a -> Event.t -> 'a) -> ('a * Trace.meta, string) result
 (** Streaming read over an encoded blob: decode the header, then fold
     [f] over events one at a time without materializing the array.
-    {!decode} is this with an accumulating buffer. *)
+    {!decode} is this with an accumulating buffer.  Total and bounded
+    exactly as {!decode}. *)

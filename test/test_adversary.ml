@@ -209,14 +209,37 @@ let test_crash_trace_roundtrip () =
 let test_schedule_invariance_and_search () =
   let g = Gen.path 4 in
   let scheme = Map_advice.selection in
-  let reference = Shades_election.Scheme.run scheme g in
+  let module Scheme = Shades_election.Scheme in
+  let reference = Scheme.run scheme g in
+  (* every execution mode, and an explicit delay plan, compute the same
+     outputs and rounds: asynchrony only moves completion time *)
+  List.iter
+    (fun exec ->
+      let run = Scheme.run ~exec scheme g in
+      Alcotest.(check bool)
+        ("outputs invariant under " ^ Exec.to_string exec)
+        true
+        (run.Scheme.outputs = reference.Scheme.outputs);
+      Alcotest.(check int)
+        ("rounds invariant under " ^ Exec.to_string exec)
+        reference.Scheme.rounds run.Scheme.rounds)
+    [
+      Exec.Sync; Exec.Sharded { domains = Some 2 }; Exec.Async { seed = 0 };
+      Exec.Async { seed = 42 };
+    ];
   let plan = Schedule.of_seed g ~seed:42 in
-  let run, makespan = Shades_election.Scheme.run_plan ~delay:(Schedule.delay_fn plan) scheme g in
+  let advice = scheme.Scheme.oracle g in
+  let run, makespan =
+    Async_engine.run_plan ~delay:(Schedule.delay_fn plan) g ~advice
+      (Scheme.algorithm scheme ~advice)
+  in
   Alcotest.(check bool) "outputs plan-invariant" true
-    (run.Shades_election.Scheme.outputs = reference.Shades_election.Scheme.outputs);
-  Alcotest.(check int) "rounds plan-invariant"
-    reference.Shades_election.Scheme.rounds run.Shades_election.Scheme.rounds;
+    (run.Engine.outputs = reference.Scheme.outputs);
+  Alcotest.(check int) "rounds plan-invariant" reference.Scheme.rounds
+    run.Engine.rounds;
   Alcotest.(check bool) "positive makespan" true (makespan > 0.0);
+  Alcotest.(check bool) "Schedule.makespan is the plan's makespan" true
+    (Schedule.makespan scheme g plan = makespan);
   let r1 = Schedule.search ~beam:2 scheme g ~init:(Schedule.uniform g 0.5) in
   let r2 = Schedule.search ~beam:2 scheme g ~init:(Schedule.uniform g 0.5) in
   Alcotest.(check bool) "search deterministic" true

@@ -149,12 +149,12 @@ let test_thm_2_9_fooling () =
       let a = build delta k alpha and b = build delta k beta in
       let advice = Select_by_view.scheme.Scheme.oracle a.Gclass.graph in
       let honest =
-        Scheme.run_with_advice Select_by_view.scheme a.Gclass.graph ~advice
+        Scheme.run Select_by_view.scheme a.Gclass.graph ~advice
       in
       Alcotest.(check bool) "honest run elects" true
         (Result.is_ok (Verify.selection a.Gclass.graph honest.Scheme.outputs));
       let fooled =
-        Scheme.run_with_advice Select_by_view.scheme b.Gclass.graph ~advice
+        Scheme.run Select_by_view.scheme b.Gclass.graph ~advice
       in
       Alcotest.(check (result int string))
         (Printf.sprintf "fooled (delta=%d k=%d %d->%d)" delta k alpha beta)

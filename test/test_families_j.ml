@@ -305,12 +305,12 @@ let test_thm_4_11_fooling () =
   let b = build_j (fun y -> y.(1) <- true) in
   let scheme = Jclass.cppe_scheme a in
   let advice = scheme.Scheme.oracle a.Jclass.graph in
-  let honest = Scheme.run_with_advice scheme a.Jclass.graph ~advice in
+  let honest = Scheme.run scheme a.Jclass.graph ~advice in
   Alcotest.(check bool) "honest ok" true
     (Result.is_ok
        (Verify.complete_port_path_election a.Jclass.graph
           honest.Scheme.outputs));
-  let fooled = Scheme.run_with_advice scheme b.Jclass.graph ~advice in
+  let fooled = Scheme.run scheme b.Jclass.graph ~advice in
   (match
      Verify.complete_port_path_election b.Jclass.graph fooled.Scheme.outputs
    with
@@ -318,7 +318,7 @@ let test_thm_4_11_fooling () =
   | Error _ -> ());
   (* Control: an equal-Y rebuild accepts the same advice. *)
   let a' = build_j (fun _ -> ()) in
-  let control = Scheme.run_with_advice scheme a'.Jclass.graph ~advice in
+  let control = Scheme.run scheme a'.Jclass.graph ~advice in
   Alcotest.(check bool) "control ok" true
     (Result.is_ok
        (Verify.complete_port_path_election a'.Jclass.graph

@@ -159,10 +159,10 @@ let test_thm_3_11_fooling () =
   sigma_b.(4) <- 3;
   let b = Uclass.build params ~sigma:sigma_b in
   let advice = Uclass.pe_scheme.Scheme.oracle a.Uclass.graph in
-  let honest = Scheme.run_with_advice Uclass.pe_scheme a.Uclass.graph ~advice in
+  let honest = Scheme.run Uclass.pe_scheme a.Uclass.graph ~advice in
   Alcotest.(check bool) "honest run elects" true
     (Result.is_ok (Verify.port_election a.Uclass.graph honest.Scheme.outputs));
-  let fooled = Scheme.run_with_advice Uclass.pe_scheme b.Uclass.graph ~advice in
+  let fooled = Scheme.run Uclass.pe_scheme b.Uclass.graph ~advice in
   match Verify.port_election b.Uclass.graph fooled.Scheme.outputs with
   | Ok _ -> Alcotest.fail "fooled run must not satisfy PE"
   | Error e ->
@@ -174,7 +174,7 @@ let test_fooling_requires_difference () =
   let a = build_uniform 2 in
   let a' = build_uniform 2 in
   let advice = Uclass.pe_scheme.Scheme.oracle a.Uclass.graph in
-  let run = Scheme.run_with_advice Uclass.pe_scheme a'.Uclass.graph ~advice in
+  let run = Scheme.run Uclass.pe_scheme a'.Uclass.graph ~advice in
   Alcotest.(check bool) "same sigma verifies" true
     (Result.is_ok (Verify.port_election a'.Uclass.graph run.Scheme.outputs))
 

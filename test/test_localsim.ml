@@ -307,6 +307,54 @@ let prop_async_full_info =
             (View_tree.of_graph g v ~depth:rounds))
         (Port_graph.vertices g))
 
+(* --- Exec: the one parser and both persisted spellings --- *)
+
+let test_exec_spellings () =
+  let unused what () = Alcotest.fail (what ^ " read for an engine without it") in
+  List.iter
+    (fun (name, domains, seed, exec, echo, key) ->
+      let parse ~domains ~seed = Exec.parse ~domains ~seed name in
+      Alcotest.(check bool)
+        (name ^ " parses") true
+        (parse ~domains:(fun () -> domains) ~seed:(fun () -> seed) = Ok exec);
+      Alcotest.(check string) (name ^ " reply echo") echo (Exec.to_string exec);
+      Alcotest.(check string) (name ^ " result-key part") key (Exec.key exec);
+      Alcotest.(check bool)
+        (name ^ " survives its trace engine") true
+        (Exec.of_trace_engine (Exec.trace_engine exec)
+        = match exec with Exec.Sharded _ -> Exec.Sync | e -> e))
+    [
+      ("sync", None, 0, Exec.Sync, "sync", "sync");
+      ("sequential", None, 0, Exec.Sync, "sync", "sync");
+      ("seq", None, 0, Exec.Sync, "sync", "sync");
+      ("sharded", None, 0, Exec.Sharded { domains = None }, "sharded", "sharded");
+      ( "sharded", Some 4, 0, Exec.Sharded { domains = Some 4 }, "sharded",
+        "sharded" );
+      ("async", None, 3, Exec.Async { seed = 3 }, "async(seed=3)", "async-s3");
+      ( "async", None, -2, Exec.Async { seed = -2 }, "async(seed=-2)",
+        "async-s-2" );
+    ];
+  Alcotest.(check bool)
+    "sync never reads domains or seed" true
+    (Exec.parse ~domains:(unused "domains") ~seed:(unused "seed") "sync"
+    = Ok Exec.Sync);
+  Alcotest.(check bool)
+    "sharded never reads the seed" true
+    (Exec.parse ~domains:(fun () -> None) ~seed:(unused "seed") "sharded"
+    = Ok (Exec.Sharded { domains = None }));
+  Alcotest.(check bool)
+    "async never reads domains" true
+    (Exec.parse ~domains:(unused "domains") ~seed:(fun () -> 3) "async"
+    = Ok (Exec.Async { seed = 3 }));
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S rejected" name)
+        true
+        (Result.is_error
+           (Exec.parse ~domains:(fun () -> None) ~seed:(fun () -> 0) name)))
+    [ ""; "SYNC"; "parallel"; "async(seed=3)" ]
+
 let () =
   Alcotest.run "shades_localsim"
     [
@@ -321,6 +369,9 @@ let () =
             test_round0_decided_halt;
           Alcotest.test_case "on_round hook" `Quick test_on_round_hook;
         ] );
+      ( "exec",
+        [ Alcotest.test_case "parse and spellings" `Quick test_exec_spellings ]
+      );
       ( "full_info",
         List.map QCheck_alcotest.to_alcotest
           [ prop_full_info_views; prop_adaptive_rounds ] );

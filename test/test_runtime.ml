@@ -3,6 +3,7 @@
    counts. *)
 
 open Shades_runtime
+module Json = Shades_json.Json
 
 (* --- Pool --- *)
 
@@ -91,8 +92,8 @@ let sample_store =
     {
       Store.params =
         [
-          ("family", Store.Json.String "g"); ("delta", Store.Json.Int 4);
-          ("k", Store.Json.Int 1);
+          ("family", Json.String "g"); ("delta", Json.Int 4);
+          ("k", Json.Int 1);
         ];
       rounds = 1;
       messages = 118;
@@ -119,7 +120,7 @@ let sample_store =
   in
   let r2 =
     {
-      Store.params = [ ("weird \"name\"\n", Store.Json.Null) ];
+      Store.params = [ ("weird \"name\"\n", Json.Null) ];
       rounds = 0;
       messages = 0;
       advice_bits = 0;
@@ -163,15 +164,15 @@ let test_store_rejects_garbage () =
 
 let test_json_values () =
   let j =
-    Store.Json.Obj
+    Json.Obj
       [
-        ("i", Store.Json.Int (-42)); ("f", Store.Json.Float 2.5);
-        ("s", Store.Json.String "a\"b\\c\nd");
-        ("l", Store.Json.List [ Store.Json.Bool true; Store.Json.Null ]);
-        ("nested", Store.Json.Obj [ ("x", Store.Json.Int 1) ]);
+        ("i", Json.Int (-42)); ("f", Json.Float 2.5);
+        ("s", Json.String "a\"b\\c\nd");
+        ("l", Json.List [ Json.Bool true; Json.Null ]);
+        ("nested", Json.Obj [ ("x", Json.Int 1) ]);
       ]
   in
-  match Store.Json.of_string (Store.Json.to_string j) with
+  match Json.of_string (Json.to_string j) with
   | Ok j' -> Alcotest.(check bool) "json round-trip" true (j = j')
   | Error e -> Alcotest.fail e
 
@@ -225,8 +226,8 @@ let sliced_record ~family ~delta ~k ~rounds ~wall_ns =
   {
     Store.params =
       [
-        ("family", Store.Json.String family); ("delta", Store.Json.Int delta);
-        ("k", Store.Json.Int k);
+        ("family", Json.String family); ("delta", Json.Int delta);
+        ("k", Json.Int k);
       ];
     rounds;
     messages = 100 * delta;
@@ -265,7 +266,7 @@ let test_shard_manifest_roundtrip () =
         List.find
           (fun s ->
             List.assoc_opt "delta" s.Store.Sharded.slice
-            = Some (Store.Json.Int 4))
+            = Some (Json.Int 4))
           m.Store.Sharded.shards
       in
       Alcotest.(check int) "delta-4 shard has both k records" 2
@@ -313,7 +314,7 @@ let test_shard_replacement () =
         (List.find
            (fun s ->
              List.assoc_opt "delta" s.Store.Sharded.slice
-             = Some (Store.Json.Int delta))
+             = Some (Json.Int delta))
            m.Store.Sharded.shards)
           .Store.Sharded.file
       in
@@ -558,7 +559,7 @@ let test_jclass_job_runs () =
   | Some job ->
       Alcotest.(check string) "family" "j" job.Sweep.family;
       let m = Metrics.create () in
-      let outcome = job.Sweep.exec ~tracer:None m in
+      let outcome = job.Sweep.work ~exec:job.Sweep.exec ~tracer:None m in
       Alcotest.(check bool) "verified" true outcome.Sweep.verified;
       Alcotest.(check int) "minimum time: k rounds" 4 outcome.Sweep.rounds;
       Alcotest.(check int) "cost is the exact order" outcome.Sweep.graph_order
@@ -590,7 +591,8 @@ let test_run_traced_neutral () =
   List.iter2
     (fun (job, r) (_, t) ->
       let s = Shades_trace.Trace.stats t in
-      (match job.Sweep.engine with
+      let engine = Shades_localsim.Exec.trace_engine job.Sweep.exec in
+      (match engine with
       | Shades_trace.Trace.Sync ->
           Alcotest.(check int) "trace sends = record messages" r.Store.messages
             s.Shades_trace.Trace.sends;
@@ -605,7 +607,7 @@ let test_run_traced_neutral () =
           Alcotest.(check bool) "async capture has sync markers" true
             (s.Shades_trace.Trace.sync_markers > 0));
       Alcotest.(check bool) "meta engine matches the job" true
-        (t.Shades_trace.Trace.meta.Shades_trace.Trace.engine = job.Sweep.engine);
+        (t.Shades_trace.Trace.meta.Shades_trace.Trace.engine = engine);
       Alcotest.(check bool) "meta carries the point" true
         (t.Shades_trace.Trace.meta.Shades_trace.Trace.label <> ""))
     (List.combine jobs plain)

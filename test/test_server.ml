@@ -667,7 +667,72 @@ let test_service_verify_trace () =
     (not (is_error reply))
     && Json.member "valid" (result_of reply) = Some (Json.Bool true)
   in
-  Alcotest.(check bool) "tampered trace is not accepted" false accepted
+  Alcotest.(check bool) "tampered trace is not accepted" false accepted;
+  (* a 24-byte upload whose label length claims 2^40 bytes: the decoder
+     refuses it before allocating, so the reply is a structured error *)
+  let hostile =
+    let module W = Shades_bits.Writer in
+    let w = W.create () in
+    W.bit w false;
+    W.gamma w 0;
+    W.gamma w 0;
+    W.gamma w (1 lsl 40);
+    let bits = W.contents w in
+    let len = Shades_bits.Bitstring.length bits in
+    Shades_versions.Versions.shtr_magic
+    ^ String.make 1 (Char.chr Codec.format_version)
+    ^ String.init 8 (fun i -> Char.chr ((len lsr (8 * (7 - i))) land 0xff))
+    ^ Bytes.to_string (Shades_bits.Bitstring.to_packed bits)
+  in
+  Alcotest.(check bool)
+    "hostile trace header answered with request-failed" true
+    (is_error ~code:"request-failed"
+       (handle_ok s (req (Protocol.hex_encode hostile))))
+
+(* The registry, end to end: for every task on small graphs, the
+   registered scheme's honest run passes the registered referee, and
+   the service's payload codec round-trips the outputs — an elect
+   reply's outputs, submitted back to verify, are valid with the same
+   leader.  (The service computes advice on the canonical form, so its
+   leader may be a different vertex than the local run's.) *)
+let test_registry_round_trip () =
+  let module Registry = Shades_election.Registry in
+  let module Scheme = Shades_election.Scheme in
+  let s = Service.create () in
+  List.iter
+    (fun spec ->
+      let g = Spec.parse_exn spec in
+      List.iter
+        (fun kind ->
+          let (Registry.Impl { scheme; verify; _ }) = Registry.of_kind kind in
+          let task = Shades_election.Task.kind_to_string kind in
+          let tag what = Printf.sprintf "%s %s: %s" task spec what in
+          (match verify g (Scheme.run scheme g).Scheme.outputs with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (tag ("referee rejected: " ^ e)));
+          let graph_task =
+            [ ("graph", Json.String spec); ("task", Json.String task) ]
+          in
+          let elected =
+            result_of
+              (handle_ok s (Json.Obj (("op", Json.String "elect") :: graph_task)))
+          in
+          Alcotest.(check bool)
+            (tag "service election verified") true
+            (Json.member "verified" elected = Some (Json.Bool true));
+          let verdict =
+            result_of
+              (handle_ok s
+                 (Json.Obj
+                    ((("op", Json.String "verify") :: graph_task)
+                    @ [ ("outputs", Option.get (Json.member "outputs" elected)) ])))
+          in
+          Alcotest.(check bool)
+            (tag "outputs round-trip through the codec") true
+            (Json.member "valid" verdict = Some (Json.Bool true)
+            && Json.member "leader" verdict = Json.member "leader" elected))
+        Shades_election.Task.all)
+    [ "path:4"; "path:5"; "star:4"; "gclass:3,1,2" ]
 
 let strip_cache_flags = function
   | Json.Obj ms ->
@@ -1102,6 +1167,8 @@ let () =
           Alcotest.test_case "elect + verify" `Quick test_service_elect_and_verify;
           Alcotest.test_case "elect sharded" `Quick test_service_elect_sharded;
           Alcotest.test_case "verify-trace" `Quick test_service_verify_trace;
+          Alcotest.test_case "registry round-trip" `Quick
+            test_registry_round_trip;
           Alcotest.test_case "restart recovery" `Quick
             test_service_restart_recovery;
           Alcotest.test_case "batch" `Quick test_service_batch;

@@ -246,32 +246,41 @@ let prop_random_graph_equiv =
       in
       seq = sh)
 
-(* --- full runs of the paper's schemes, sequential vs sharded --- *)
+(* --- full runs of the paper's schemes under every execution --- *)
 
+(* Every non-default execution mode: sharded at each domain count, and
+   two async seeds. *)
+let execs =
+  List.map (fun d -> Exec.Sharded { domains = Some d }) domain_counts
+  @ [ Exec.Async { seed = 0 }; Exec.Async { seed = 1 } ]
+
+(* Outputs, rounds and advice are the same under every execution; the
+   event stream is identical wherever the trace says [Sync] (sharded
+   runs), while async streams carry markers and are checked modulo
+   them in test_trace. *)
 let scheme_equiv name scheme g =
-  let capture run =
+  let capture exec =
     let events = ref [] in
-    let r = run ~tracer:(fun e -> events := e :: !events) in
+    let r =
+      Scheme.run ~exec ~tracer:(fun e -> events := e :: !events) scheme g
+    in
     (r, List.rev !events)
   in
-  let seq, seq_events =
-    capture (fun ~tracer -> Scheme.run ~tracer scheme g)
-  in
+  let seq, seq_events = capture Exec.Sync in
   List.iter
-    (fun domains ->
-      let sh, sh_events =
-        capture (fun ~tracer -> Scheme.run_sharded ~domains ~tracer scheme g)
-      in
-      let tag fmt = Printf.sprintf "%s (domains=%d): %s" name domains fmt in
+    (fun exec ->
+      let other, other_events = capture exec in
+      let tag fmt = Printf.sprintf "%s (%s): %s" name (Exec.to_string exec) fmt in
       Alcotest.(check bool)
         (tag "outputs") true
-        (seq.Scheme.outputs = sh.Scheme.outputs);
-      Alcotest.(check int) (tag "rounds") seq.Scheme.rounds sh.Scheme.rounds;
+        (seq.Scheme.outputs = other.Scheme.outputs);
+      Alcotest.(check int) (tag "rounds") seq.Scheme.rounds other.Scheme.rounds;
       Alcotest.(check int)
-        (tag "advice bits") seq.Scheme.advice_bits sh.Scheme.advice_bits;
-      Alcotest.(check bool)
-        (tag "trace identical") true (seq_events = sh_events))
-    domain_counts
+        (tag "advice bits") seq.Scheme.advice_bits other.Scheme.advice_bits;
+      if Exec.trace_engine exec = Shades_trace.Trace.Sync then
+        Alcotest.(check bool)
+          (tag "trace identical") true (seq_events = other_events))
+    execs
 
 let prop_gclass_equiv =
   QCheck.Test.make ~name:"sharded = sequential (Selection on G)" ~count:8
@@ -301,7 +310,7 @@ let test_jclass_equiv () =
   let t = Jclass.build p ~y:(Jclass.y_zero p) in
   scheme_equiv "j mu=3 k=4" (Jclass.cppe_scheme t) t.Jclass.graph
 
-(* --- sweep jobs under the Sharded strategy --- *)
+(* --- sweep jobs under every synchronous execution --- *)
 
 let test_sweep_strategy_records_identical () =
   (* The whole tiny grid, sequential vs sharded at several domain
@@ -315,18 +324,13 @@ let test_sweep_strategy_records_identical () =
   in
   let seq = stripped (Sweep.run ~domains:1 (Sweep.tiny_jobs ())) in
   List.iter
-    (fun domains ->
-      let sh =
-        stripped
-          (Sweep.run ~domains:1
-             (Sweep.tiny_jobs
-                ~strategy:(Sweep.Sharded { domains = Some domains })
-                ()))
-      in
+    (fun exec ->
+      let other = stripped (Sweep.run ~domains:1 (Sweep.tiny_jobs ~exec ())) in
       Alcotest.(check bool)
-        (Printf.sprintf "tiny grid records equal (domains=%d)" domains)
-        true (seq = sh))
-    [ 1; 2; 4 ]
+        (Printf.sprintf "tiny grid records equal (%s)" (Exec.to_string exec))
+        true (seq = other))
+    (Exec.Sync
+    :: List.map (fun d -> Exec.Sharded { domains = Some d }) [ 1; 2; 4 ])
 
 let () =
   Alcotest.run "shades_sharded"

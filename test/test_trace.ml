@@ -6,6 +6,7 @@ open Shades_trace
 open Shades_graph
 open Shades_election
 open Shades_families
+module Exec = Shades_localsim.Exec
 
 let no_advice = Shades_bits.Bitstring.empty
 
@@ -82,6 +83,107 @@ let test_codec_rejects () =
   match Codec.decode (Bytes.to_string corrupt) with
   | Ok _ | Error _ -> ()
 
+(* --- hostile blobs: the decoder allocates only what the blob pays for --- *)
+
+(* A well-formed header around [payload] bits: magic, version, and the
+   exact bit length, so only the payload parser can object. *)
+let blob_of_bits bits =
+  let module Bitstring = Shades_bits.Bitstring in
+  let len = Bitstring.length bits in
+  Shades_versions.Versions.shtr_magic
+  ^ String.make 1 (Char.chr Codec.format_version)
+  ^ String.init 8 (fun i -> Char.chr ((len lsr (8 * (7 - i))) land 0xff))
+  ^ Bytes.to_string (Bitstring.to_packed bits)
+
+module W = Shades_bits.Writer
+
+(* Sync metadata whose graph order is written by [order] (default 0)
+   and whose label length is written by [label] (and nothing after it),
+   or else an empty label followed by an event count claiming [count]. *)
+let hostile_blob ?(order = fun w -> W.gamma w 0) ?label ?(count = 0) () =
+  let w = W.create () in
+  W.bit w false;
+  order w;
+  W.gamma w 0;
+  (match label with
+  | Some write_length -> write_length w
+  | None ->
+      W.gamma w 0;
+      W.gamma w 0;
+      W.gamma w count);
+  blob_of_bits (W.contents w)
+
+(* A gamma code with a [width]-bit unary prefix and an all-zero tail. *)
+let wide_gamma width w =
+  W.unary w width;
+  for _ = 1 to width do
+    W.bit w false
+  done
+
+let hostile_blobs =
+  [
+    ("2^25 events", hostile_blob ~count:(1 lsl 25) ());
+    ("2^29 events", hostile_blob ~count:(1 lsl 29) ());
+    ("2^40-byte label", hostile_blob ~label:(fun w -> W.gamma w (1 lsl 40)) ());
+    ("max_int-byte label", hostile_blob ~label:(fun w -> W.gamma w max_int) ());
+    (* a 64-bit gamma code: wraps to a negative length when decoded *)
+    ( "overflowing label length",
+      hostile_blob
+        ~label:(fun w ->
+          W.unary w 63;
+          W.fixed w ~width:63 0)
+        () );
+    (* wider still: the unchecked decode shifts past the word and reads
+       a non-negative garbage order, leaving an otherwise valid blob *)
+    ("64-bit gamma graph order", hostile_blob ~order:(wide_gamma 64) ());
+    ("70-bit gamma graph order", hostile_blob ~order:(wide_gamma 70) ());
+  ]
+
+let count_events blob = Codec.fold_events blob ~init:0 ~f:(fun n _ -> n + 1)
+
+let test_codec_hostile_headers () =
+  List.iter
+    (fun (name, blob) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (%d bytes): decode is an Error" name
+           (String.length blob))
+        true
+        (Result.is_error (Codec.decode blob));
+      Alcotest.(check bool)
+        (name ^ ": fold_events is an Error")
+        true
+        (Result.is_error (count_events blob)))
+    hostile_blobs
+
+(* Mutate one byte of a real recording, truncate it, and re-stamp the
+   header's bit length to the truncated payload so the header check
+   passes and the payload parser sees the damage.  Whatever comes out,
+   both readers answer with a value, never an exception. *)
+let prop_codec_total =
+  let g = (Gclass.build { Gclass.delta = 3; k = 1 } ~i:2).Gclass.graph in
+  let r = Trace.recorder () in
+  ignore (Scheme.run ~tracer:(Trace.emit r) Select_by_view.scheme g);
+  let blob =
+    Codec.encode
+      (Trace.capture r
+         { Trace.engine = Trace.Sync; graph_order = 0; advice_bits = 0; label = "x" })
+  in
+  let header = String.length Shades_versions.Versions.shtr_magic + 9 in
+  let payload = String.length blob - header in
+  QCheck.Test.make ~name:"decode and fold_events are total under damage"
+    ~count:300
+    QCheck.(triple (int_bound (payload - 1)) (int_bound 255) (int_bound payload))
+    (fun (pos, byte, keep) ->
+      let b = Bytes.of_string (String.sub blob header payload) in
+      Bytes.set b pos (Char.chr byte);
+      let bits =
+        Shades_bits.Bitstring.of_packed
+          (Bytes.sub b 0 keep) (8 * keep)
+      in
+      let damaged = blob_of_bits bits in
+      let total f = match f damaged with Ok _ | Error _ -> true in
+      total Codec.decode && total count_events)
+
 let test_recorder_ring () =
   let r = Trace.recorder ~capacity:4 () in
   for i = 1 to 10 do
@@ -107,15 +209,12 @@ let test_recorder_ring () =
 
 (* --- tracing real election runs --- *)
 
-let capture ?(label = "test") scheme g engine =
+let capture ?(label = "test") scheme g exec =
   let r = Trace.recorder () in
-  let tracer = Trace.emit r in
-  (match engine with
-  | Trace.Sync -> ignore (Scheme.run ~tracer scheme g)
-  | Trace.Async { seed } -> ignore (Scheme.run_async ~seed ~tracer scheme g));
+  ignore (Scheme.run ~exec ~tracer:(Trace.emit r) scheme g);
   Trace.capture r
     {
-      Trace.engine;
+      Trace.engine = Exec.trace_engine exec;
       graph_order = Port_graph.order g;
       advice_bits = 0;
       label;
@@ -124,7 +223,7 @@ let capture ?(label = "test") scheme g engine =
 let test_sync_trace_shape () =
   let g = (Gclass.build { Gclass.delta = 3; k = 1 } ~i:2).Gclass.graph in
   let n = Port_graph.order g in
-  let t = capture Select_by_view.scheme g Trace.Sync in
+  let t = capture Select_by_view.scheme g Exec.Sync in
   let s = Trace.stats t in
   Alcotest.(check int) "one Advice_read per node" n s.Trace.advice_reads;
   Alcotest.(check int) "every node decides" n s.Trace.decides;
@@ -162,28 +261,35 @@ let test_sync_vs_async_diff () =
         | `G -> capture Select_by_view.scheme g engine
         | `U -> capture Uclass.pe_scheme g engine
       in
-      let sync = run Trace.Sync in
+      let sync = run Exec.Sync in
       Alcotest.(check int)
         (name ^ ": sync trace has no markers")
         0 (Trace.stats sync).Trace.sync_markers;
       List.iter
-        (fun seed ->
-          let async = run (Trace.Async { seed }) in
+        (fun exec ->
+          let other = run exec in
+          let tag what =
+            Printf.sprintf "%s: %s %s" name (Exec.to_string exec) what
+          in
+          (* markers exactly when the trace says async: sharding is
+             invisible, the α-synchronizer is not *)
           Alcotest.(check bool)
-            (Printf.sprintf "%s: async seed %d has markers" name seed)
-            true
-            ((Trace.stats async).Trace.sync_markers > 0);
+            (tag "has markers iff async")
+            (Exec.trace_engine exec <> Trace.Sync)
+            ((Trace.stats other).Trace.sync_markers > 0);
           Alcotest.(check (list string))
-            (Printf.sprintf "%s: sync vs async seed %d divergence-free" name
-               seed)
+            (tag "divergence-free against sync")
             []
-            (List.map Diff.pp_divergence (Diff.divergences sync async)))
-        [ 0; 1; 2 ])
+            (List.map Diff.pp_divergence (Diff.divergences sync other)))
+        [
+          Exec.Sharded { domains = Some 2 }; Exec.Async { seed = 0 };
+          Exec.Async { seed = 1 }; Exec.Async { seed = 2 };
+        ])
     instances
 
 let test_diff_reports_divergence () =
   let g = (Gclass.build { Gclass.delta = 3; k = 1 } ~i:2).Gclass.graph in
-  let t = capture Select_by_view.scheme g Trace.Sync in
+  let t = capture Select_by_view.scheme g Exec.Sync in
   (* drop one Deliver event from the right-hand trace *)
   let eq = ref None in
   Array.iteri
@@ -213,22 +319,22 @@ let test_diff_reports_divergence () =
 
 let test_replay_clean () =
   let g = (Gclass.build { Gclass.delta = 4; k = 1 } ~i:2).Gclass.graph in
-  let sync = capture Select_by_view.scheme g Trace.Sync in
-  Alcotest.(check bool)
-    "sync re-run reproduces the trace" true
-    (Replay.run sync (fun tracer ->
-         ignore (Scheme.run ~tracer Select_by_view.scheme g))
-    = Ok ());
-  let async = capture Select_by_view.scheme g (Trace.Async { seed = 2 }) in
-  Alcotest.(check bool)
-    "same-seed async re-run reproduces the trace verbatim" true
-    (Replay.run async (fun tracer ->
-         ignore (Scheme.run_async ~seed:2 ~tracer Select_by_view.scheme g))
-    = Ok ())
+  (* a re-run under the recorded execution reproduces the trace
+     verbatim — for async, under the same seed *)
+  List.iter
+    (fun exec ->
+      let t = capture Select_by_view.scheme g exec in
+      Alcotest.(check bool)
+        (Exec.to_string exec ^ " re-run reproduces the trace")
+        true
+        (Replay.run t (fun tracer ->
+             ignore (Scheme.run ~exec ~tracer Select_by_view.scheme g))
+        = Ok ()))
+    [ Exec.Sync; Exec.Sharded { domains = Some 2 }; Exec.Async { seed = 2 } ]
 
 let test_replay_detects_mutation () =
   let g = (Gclass.build { Gclass.delta = 3; k = 1 } ~i:2).Gclass.graph in
-  let t = capture Select_by_view.scheme g Trace.Sync in
+  let t = capture Select_by_view.scheme g Exec.Sync in
   let exec tracer = ignore (Scheme.run ~tracer Select_by_view.scheme g) in
   (* mutate one mid-trace Send's port *)
   let idx = ref (-1) in
@@ -284,7 +390,7 @@ let test_replay_detects_mutation () =
 
 let test_file_round_trip () =
   let g = (Gclass.build { Gclass.delta = 3; k = 1 } ~i:2).Gclass.graph in
-  let t = capture ~label:"file io" Select_by_view.scheme g Trace.Sync in
+  let t = capture ~label:"file io" Select_by_view.scheme g Exec.Sync in
   let path = Filename.temp_file "shades_trace" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -338,6 +444,9 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_codec_round_trip;
           Alcotest.test_case "rejection" `Quick test_codec_rejects;
+          Alcotest.test_case "hostile headers" `Quick
+            test_codec_hostile_headers;
+          QCheck_alcotest.to_alcotest prop_codec_total;
           Alcotest.test_case "file io" `Quick test_file_round_trip;
         ] );
       ( "recorder",
