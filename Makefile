@@ -1,8 +1,9 @@
 # Convenience entry points; everything is plain dune underneath.
 
-# Where the smoke sweep writes its store.  CI overrides this to a
-# workspace path so the store can be uploaded as an artifact on failure.
-SMOKE_OUT ?= /tmp/shades_smoke_sweep.json
+# The directory the smoke sweep writes its store to.  CI overrides this
+# to a workspace path so the store can be uploaded as an artifact on
+# failure.
+SMOKE_OUT ?= /tmp/shades_smoke_sweep
 # The smoke sweep also records one execution trace per grid point here:
 # when the gate fails, the traces say exactly which (round, vertex,
 # event) moved (`shades_cli trace diff` against a known-good run).
@@ -41,11 +42,21 @@ BENCH_RAW ?= /tmp/shades_bench_raw.json
 # experiments/adversary-smoke.store/.
 ADV_OUT ?= /tmp/shades_adversary
 
-.PHONY: all check build test lint smoke experiments-quick serve-smoke \
-	adversary-smoke sweep \
+.PHONY: all check build test lint smoke trace-gate experiments-quick \
+	serve-smoke adversary-smoke bench-gate sweep \
 	bless doc bench bench-engine clean
 
 all: check
+
+# The tier-1 gate is a chain of the named gates below, each recipe
+# written once.  Order: build → lint → tests → paper claims →
+# measurement gate → forensics gate → daemon smoke → adversary gate →
+# speed gate, so a source-hygiene regression fails before any baseline
+# is consulted and the slowest step runs last.  Intentional changes to
+# any baseline go through `make bless`.  CI runs the same targets as
+# one named step each.
+check: build lint test experiments-quick smoke trace-gate serve-smoke \
+	adversary-smoke bench-gate
 
 build:
 	dune build @all
@@ -56,59 +67,35 @@ test:
 # shadescheck: the determinism & locality lint over the compiled typed
 # ASTs (needs a full build so every .cmt is fresh).  Exit 1 on any
 # unsuppressed finding, 2 if the .cmts cannot be loaded.
-lint:
-	dune build @all
+lint: build
 	@mkdir -p $(dir $(LINT_REPORT)) $(dir $(LINT_SARIF))
 	dune exec bin/shades_cli.exe -- lint --json $(LINT_REPORT) \
 	    --sarif $(LINT_SARIF)
 
-# The tier-1 gate: full build, full test suite, the tiny-grid smoke
-# sweep compared --strict against the committed sharded baseline
-# (BENCH_tiny/) — any changed rounds/messages/advice, or any grid-shape
-# change, exits nonzero — and the trace-forensics gate: the same grid's
-# execution traces compared against the blessed baselines in
-# BENCH_tiny/traces/, failing with the first divergent (round, vertex,
-# event) per drifted job (exit 1 divergent, 2 unreadable baseline).
-# Intentional changes go through `make bless`.  Tracing is
-# metrics-neutral, so recording never perturbs the measurement gate.
-# Last comes the speed gate: the micro-benchmarks compared against
-# BENCH_micro/baseline.json with the tolerance bands above, so a
-# hot-path slowdown or allocation regression also fails check.
-# The adversary gate runs the committed corruption smoke campaign and
-# pins every mutant classification (detected / harmless / fooling) to
-# the blessed store under experiments/ — a scheme or codec change that
-# silently alters what the shades detect, or lets a mutant fool a
-# shade undetected, fails check even when the honest baselines agree.
-# The paper-claims gate runs every quick row of bin/experiments.exe
-# (the lower-bound constructions, fooling arguments and scheme round
-# counts of EXPERIMENTS.md) and exits 1 on the first FAIL.
-# Order: build → lint → tests → paper claims → measurement gate →
-# forensics gate → daemon smoke → adversary gate → speed gate, so a
-# source-hygiene regression fails before any baseline is consulted and
-# the slowest step runs last.
-check:
-	dune build @all
-	@mkdir -p $(dir $(LINT_REPORT)) $(dir $(LINT_SARIF))
-	dune exec bin/shades_cli.exe -- lint --json $(LINT_REPORT) \
-	    --sarif $(LINT_SARIF)
-	dune runtest
+# The paper-claims gate: every quick row of bin/experiments.exe (the
+# lower-bound constructions, fooling arguments and scheme round counts
+# of EXPERIMENTS.md); exits 1 on the first FAIL.
+experiments-quick:
 	dune exec bin/experiments.exe -- quick
-	@mkdir -p $(dir $(SMOKE_OUT))
+
+# The measurement gate: the tiny-grid sweep compared --strict against
+# the committed sharded store BENCH_tiny/ — any changed
+# rounds/messages/advice, or any grid-shape change, exits nonzero.  It
+# also records one execution trace per grid point into SMOKE_TRACES.
+# Tracing is metrics-neutral, so recording never perturbs the gate.
+smoke:
+	@mkdir -p $(SMOKE_OUT)
 	dune exec bin/shades_cli.exe -- sweep --tiny -o $(SMOKE_OUT) \
 	    --trace-out $(SMOKE_TRACES) --compare BENCH_tiny --strict
+
+# The trace-forensics gate: the tiny grid's execution traces compared
+# against the blessed baselines in BENCH_tiny/traces/, failing with the
+# first divergent (round, vertex, event) per drifted job (exit 1
+# divergent, 2 unreadable baseline).
+trace-gate:
 	@mkdir -p $(dir $(GATE_REPORT))
 	dune exec bin/shades_cli.exe -- trace gate -b BENCH_tiny/traces \
 	    --json $(GATE_REPORT)
-	@mkdir -p $(dir $(SERVE_METRICS))
-	SERVE_SOCKET=$(SERVE_SOCKET) SERVE_METRICS=$(SERVE_METRICS) \
-	    sh scripts/serve_smoke.sh
-	@mkdir -p $(ADV_OUT)
-	dune exec bin/shades_cli.exe -- adversary campaign --smoke \
-	    --out $(ADV_OUT) --compare experiments/adversary-smoke.store
-	@mkdir -p $(dir $(BENCH_RAW))
-	dune exec bench/main.exe -- --quota $(BENCH_QUOTA) \
-	    --compare BENCH_micro/baseline.json --json $(BENCH_RAW) \
-	    --time-tolerance $(BENCH_TIME_TOL) --alloc-tolerance $(BENCH_ALLOC_TOL)
 
 # Boot the daemon on a Unix socket (with a persistent --cache-dir and
 # the HTTP metrics plane), hit every endpoint once through the client —
@@ -116,31 +103,34 @@ check:
 # rerun), scrape /healthz and /metrics with curl, then restart the
 # daemon on the same cache directory and assert the disk tier answers
 # everything with zero recomputation.
-# The paper's claims alone (exit 1 on the first FAIL).
-experiments-quick:
-	dune exec bin/experiments.exe -- quick
-
-serve-smoke:
-	dune build @all
+serve-smoke: build
 	@mkdir -p $(dir $(SERVE_METRICS))
 	SERVE_SOCKET=$(SERVE_SOCKET) SERVE_METRICS=$(SERVE_METRICS) \
 	    sh scripts/serve_smoke.sh
 
-smoke:
-	@mkdir -p $(dir $(SMOKE_OUT))
-	dune exec bin/shades_cli.exe -- sweep --tiny -o $(SMOKE_OUT)
-
-# The corruption smoke campaign alone, gated against the blessed
-# classification store (exit 0 clean, 1 verdict/drift, 2 bad baseline).
-adversary-smoke:
-	dune build @all
+# The adversary gate: the corruption smoke campaign pins every mutant
+# classification (detected / harmless / fooling) to the blessed store
+# under experiments/ — a scheme or codec change that silently alters
+# what the shades detect, or lets a mutant fool a shade undetected,
+# fails even when the honest baselines agree (exit 0 clean, 1
+# verdict/drift, 2 bad baseline).
+adversary-smoke: build
 	@mkdir -p $(ADV_OUT)
 	dune exec bin/shades_cli.exe -- adversary campaign --smoke \
 	    --out $(ADV_OUT) --compare experiments/adversary-smoke.store
 
+# The speed gate: the micro-benchmarks compared against
+# BENCH_micro/baseline.json with the tolerance bands above, so a
+# hot-path slowdown or allocation regression fails check.
+bench-gate:
+	@mkdir -p $(dir $(BENCH_RAW))
+	dune exec bench/main.exe -- --quota $(BENCH_QUOTA) \
+	    --compare BENCH_micro/baseline.json --json $(BENCH_RAW) \
+	    --time-tolerance $(BENCH_TIME_TOL) --alloc-tolerance $(BENCH_ALLOC_TOL)
+
 # Regenerate the committed full sweep baseline (sharded).
 sweep:
-	dune exec bin/shades_cli.exe -- sweep --family both --sharded -o BENCH_sweep
+	dune exec bin/shades_cli.exe -- sweep --family both -o BENCH_sweep
 
 # The explicit policy for intentionally changed numbers or behaviour:
 # regenerate every committed baseline in one shot — the full sweep, the
@@ -150,7 +140,7 @@ sweep:
 # and forensics gates telling the same story; `trace bless` only
 # rewrites trace files whose digest actually changed.
 bless: sweep
-	dune exec bin/shades_cli.exe -- sweep --tiny --sharded -o BENCH_tiny
+	dune exec bin/shades_cli.exe -- sweep --tiny -o BENCH_tiny
 	dune exec bin/shades_cli.exe -- trace bless -b BENCH_tiny/traces
 	dune exec bin/shades_cli.exe -- adversary campaign --smoke --out experiments
 	dune exec bench/main.exe -- --quota $(BENCH_QUOTA) -o BENCH_micro/baseline.json
@@ -169,13 +159,14 @@ doc:
 	fi
 
 # Print the full micro-benchmark table (medians per kernel).  The
-# speed gate itself is the --compare step inside `make check`; the
-# wall-clock sequential-vs-sharded shootout is `make bench-engine`.
+# speed gate itself is `make bench-gate`; the wall-clock one-shard vs
+# multi-domain engine shootout is `make bench-engine`.
 bench:
 	dune exec bench/main.exe
 
 # Wall-clock shootout on a 50k-vertex graph; --assert enforces the
-# sharded win on machines with >= 4 cores and SKIPs honestly elsewhere.
+# multi-domain win on machines with >= 4 cores and SKIPs honestly
+# elsewhere.
 bench-engine:
 	dune exec bench/engine_bench.exe -- --assert
 

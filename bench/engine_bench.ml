@@ -1,9 +1,9 @@
-(* Wall-clock shootout: sequential vs vertex-sharded LOCAL engine.
+(* Wall-clock shootout: the LOCAL engine on one shard vs several.
 
    The micro-benchmark gate (main.ml) answers "did a kernel get
    slower"; this harness answers the ISSUE's scaling question: on a
-   graph big enough to amortise the barriers (n >= 50k), does the
-   sharded engine beat the sequential one when real cores are
+   graph big enough to amortise the barriers (n >= 50k), does a
+   multi-domain run beat the one-shard run when real cores are
    available?
 
    With --assert the answer is enforced: exit 1 if sharded fails to
@@ -14,7 +14,6 @@
 
 open Shades_graph
 module Engine = Shades_localsim.Engine
-module Sharded = Shades_localsim.Sharded_engine
 
 (* Constant-size messages: times the executor (adjacency walk, inbox
    plumbing, barriers), not view construction. *)
@@ -47,7 +46,7 @@ let run n rounds domains reps enforce =
   let advice = Shades_bits.Bitstring.empty in
   let alg = countdown rounds in
   let domains =
-    match domains with Some d -> d | None -> Sharded.default_domains ()
+    match domains with Some d -> d | None -> Shades_pool.default_domains ()
   in
   Printf.printf
     "engine shootout: n=%d rounds=%d domains=%d reps=%d (recommended \
@@ -57,7 +56,7 @@ let run n rounds domains reps enforce =
   let seq, t_seq = best_of reps (fun () -> Engine.run g ~advice alg) in
   Printf.printf "  sequential: %8.1f ms\n%!" (t_seq *. 1e3);
   let shd, t_shd =
-    best_of reps (fun () -> Sharded.run ~domains g ~advice alg)
+    best_of reps (fun () -> Engine.run ~domains g ~advice alg)
   in
   Printf.printf "  sharded:    %8.1f ms  (x%.2f vs sequential)\n%!"
     (t_shd *. 1e3) (t_seq /. t_shd);
@@ -105,7 +104,7 @@ let () =
       & opt (some int) None
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Worker domains for the sharded engine (default: the \
+            "Worker domains for the multi-domain run (default: the \
              machine's recommended domain count).")
   in
   let reps_arg =
@@ -119,8 +118,8 @@ let () =
       value & flag
       & info [ "assert" ]
           ~doc:
-            "Enforce the scaling claim: exit 1 unless the sharded engine \
-             beats the sequential one.  On machines with fewer than 4 \
+            "Enforce the scaling claim: exit 1 unless the multi-domain \
+             run beats the one-shard run.  On machines with fewer than 4 \
              recommended domains the assertion is skipped (exit 0) — \
              there is no parallelism to measure.")
   in
@@ -128,8 +127,8 @@ let () =
     Cmd.v
       (Cmd.info "engine_bench"
          ~doc:
-           "Wall-clock comparison of the sequential and vertex-sharded \
-            LOCAL engines on a large random graph.")
+           "Wall-clock comparison of the LOCAL engine on one shard and \
+            on several domains, on a large random graph.")
       Term.(
         const run $ n_arg $ rounds_arg $ domains_arg $ reps_arg $ assert_arg)
   in

@@ -196,8 +196,8 @@ let bench_engine =
              Shades_localsim.Engine.run g ~advice:no_advice (countdown 3)));
       Test.make ~name:"sharded_countdown_d2_n2000"
         (stage (fun () ->
-             Shades_localsim.Sharded_engine.run ~domains:2 g
-               ~advice:no_advice (countdown 3)));
+             Shades_localsim.Engine.run ~domains:2 g ~advice:no_advice
+               (countdown 3)));
     ]
 
 (* --- E25-E29 extensions: reconstruction, tradeoff, exact advice --- *)

@@ -33,7 +33,7 @@ let pp_psi = function Some k -> string_of_int k | None -> "infinite"
    The flags go through the one engine-name parser ({!Exec.parse}),
    the same one the daemon's "engine" request field uses.  Sharding is
    an execution detail: results, telemetry and traces are identical to
-   the sequential engine for every domain count, so these flags never
+   the one-shard run for every domain count, so these flags never
    change what a command measures — only how fast. *)
 
 module Exec = Shades_localsim.Exec
@@ -47,12 +47,7 @@ let task_of_flag task =
    `trace record --async --seed N`.  The seed thunk is never consulted
    for the names accepted here. *)
 let exec_of_flags ~engine ~domains =
-  match
-    Exec.parse
-      ~domains:(fun () -> domains)
-      ~seed:(fun () -> 0)
-      (String.lowercase_ascii engine)
-  with
+  match Exec.parse ~domains:(fun () -> domains) ~seed:(fun () -> 0) engine with
   | Ok (Exec.Async _) ->
       failwith "engine async is not available here (expected sync or sharded)"
   | Ok exec -> exec
@@ -286,7 +281,7 @@ let labelings_cmd =
 let sweep_cmd =
   let open Shades_runtime in
   let run family delta_lo delta_hi k_lo k_hi sigmas is mus zeffs max_order
-      domains out sharded tiny compare_with strict trace_out engine
+      domains out tiny compare_with strict trace_out engine
       engine_domains dry_run =
     let domains =
       match domains with Some d -> d | None -> Pool.default_domains ()
@@ -375,6 +370,11 @@ let sweep_cmd =
         (Array.fold_left (fun acc (j : Sweep.job) -> acc + j.Sweep.cost) 0 arr)
     end
     else begin
+    let out =
+      match out with
+      | Some dir -> dir
+      | None -> failwith "sweep: -o DIR is required"
+    in
     let t0 = Unix.gettimeofday () in
     let records =
       match trace_out with
@@ -401,8 +401,7 @@ let sweep_cmd =
     in
     let dt = Unix.gettimeofday () -. t0 in
     let store = Store.make ~label records in
-    if sharded then ignore (Store.Sharded.save ~dir:out store)
-    else Store.save ~path:out store;
+    ignore (Store.Sharded.save ~dir:out store);
     Printf.printf "%-28s %8s %7s %10s %12s %10s %9s\n" "point" "n" "rounds"
       "messages" "advice bits" "verified" "wall";
     List.iter
@@ -427,8 +426,7 @@ let sweep_cmd =
           (if counter "verified" = 1 then "ok" else "FAILED")
           (float_of_int r.Store.wall_ns /. 1e9))
       records;
-    Printf.printf "wrote %s%s: %d records, %.2fs wall, %d domain%s\n" out
-      (if sharded then " (sharded)" else "")
+    Printf.printf "wrote %s: %d records, %.2fs wall, %d domain%s\n" out
       (List.length records) dt domains
       (if domains = 1 then "" else "s");
     if
@@ -443,17 +441,9 @@ let sweep_cmd =
     | None -> ()
     | Some path -> (
         let changes =
-          if Sys.file_exists path && Sys.is_directory path then
-            match Store.Sharded.diff ~baseline_dir:path store with
-            | Error e -> failwith ("cannot load baseline " ^ path ^ ": " ^ e)
-            | Ok changes -> changes
-          else
-            match Store.load ~path with
-            | Error e -> failwith ("cannot load baseline " ^ path ^ ": " ^ e)
-            | Ok baseline ->
-                List.map
-                  (fun c -> ("", c))
-                  (Store.diff_changes ~baseline ~current:store)
+          match Store.Sharded.diff ~baseline_dir:path store with
+          | Error e -> failwith ("cannot load baseline " ^ path ^ ": " ^ e)
+          | Ok changes -> changes
         in
         match changes with
         | [] -> Printf.printf "no drift against %s\n" path
@@ -461,9 +451,7 @@ let sweep_cmd =
             Printf.printf "drift against %s:\n" path;
             List.iter
               (fun (shard, c) ->
-                Printf.printf "  %s%s\n"
-                  (if shard = "" then "" else "[" ^ shard ^ "] ")
-                  (Store.pp_change c))
+                Printf.printf "  [%s] %s\n" shard (Store.pp_change c))
               changes;
             let n_changed =
               List.length
@@ -539,16 +527,11 @@ let sweep_cmd =
   in
   let out_arg =
     Arg.(
-      value & opt string "BENCH_sweep.json"
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Results file to write.")
-  in
-  let sharded_arg =
-    Arg.(
-      value & flag
-      & info [ "sharded" ]
-          ~doc:"Write a sharded store: treat $(b,--output) as a directory \
-                holding one shard file per (family, delta) slice plus a \
-                digest manifest.")
+      value & opt (some string) None
+      & info [ "o"; "output" ] ~docv:"DIR"
+          ~doc:"Store directory to write (required unless $(b,--dry-run)): \
+                one shard file per (family, delta) slice plus a digest \
+                manifest.")
   in
   let tiny_arg =
     Arg.(
@@ -561,10 +544,9 @@ let sweep_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "compare" ] ~docv:"PATH"
-          ~doc:"Diff the results against a previously saved store (timing \
-                fields ignored): a single-file store, or a sharded store \
-                directory — then unchanged shards are skipped by digest. \
-                Changed measurements exit nonzero.")
+          ~doc:"Diff the results against a previously saved store \
+                directory (timing fields ignored; unchanged shards are \
+                skipped by digest).  Changed measurements exit nonzero.")
   in
   let strict_arg =
     Arg.(
@@ -600,7 +582,7 @@ let sweep_cmd =
     Term.(
       const run $ family_arg $ delta_lo $ delta_hi $ k_lo $ k_hi $ sigmas_arg
       $ is_arg $ mus_arg $ zeffs_arg $ max_order_arg $ domains_arg $ out_arg
-      $ sharded_arg $ tiny_arg $ compare_arg $ strict_arg $ trace_out_arg
+      $ tiny_arg $ compare_arg $ strict_arg $ trace_out_arg
       $ engine_flag_arg $ engine_domains_arg $ dry_run_arg)
 
 (* --- trace --- *)

@@ -332,6 +332,10 @@ module Csr = struct
 
   let neighbor_port t v p =
     Array.unsafe_get t.far (Array.unsafe_get t.row v + p)
+
+  let cells t = Array.length t.nbr
+
+  let cell t v p = Array.unsafe_get t.row v + p
 end
 
 let to_dot ?(highlight = []) ?(name = "G") g =

@@ -149,6 +149,15 @@ module Csr : sig
   val neighbor_vertex : t -> vertex -> int -> vertex
 
   val neighbor_port : t -> vertex -> int -> int
+
+  (** Number of (vertex, port) cells: [2 * size (graph t)]. *)
+  val cells : t -> int
+
+  (** [cell t v p] is the index of port [p] of [v] in CSR order
+      (vertex-major, then port-ascending, in [0 .. cells t - 1]), so a
+      vertex's ports are one contiguous run.  Unchecked, like
+      {!neighbor_vertex}. *)
+  val cell : t -> vertex -> int -> int
 end
 
 val pp : Format.formatter -> t -> unit

@@ -86,9 +86,26 @@ val crash_schedule : n:int -> crash list -> int array
     graph and advice reproduces the stream exactly — the contract
     {!Shades_trace.Replay} checks.  [msg_size] measures messages for
     the [Send]/[Deliver] events' [size] field (default [fun _ -> 0];
-    it must be a pure function of the message for traces to replay). *)
+    it must be a pure function of the message for traces to replay).
+
+    [domains] (default [1]) is how many domains execute each round.
+    The vertices are split into [min domains (order g)] contiguous
+    shards; every round, each shard writes its nodes' sends into one
+    flat cell per (vertex, port), and after a barrier each shard reads
+    its nodes' inboxes from the far-end cells.  With one shard both
+    phases run inline in the calling domain and no worker domain is
+    created.  Sharding is exact: outputs, round and message counts,
+    [on_round] calls and the [tracer] stream are identical at every
+    domain count, because [init], the round-0 [output] probes,
+    [on_round] and [tracer] always run on the calling domain (shard
+    events are buffered and flushed in vertex order).  With
+    [domains > 1], [send], [step] and [output] run on worker domains
+    and must be safe for disjoint-vertex parallelism: pure functions
+    of the node's own state plus reads of shared immutable data, as
+    every algorithm in this repository is. *)
 val run :
   ?max_rounds:int ->
+  ?domains:int ->
   ?on_round:(round:int -> messages:int -> unit) ->
   ?tracer:(Shades_trace.Event.t -> unit) ->
   ?msg_size:('msg -> int) ->
@@ -111,11 +128,8 @@ val run :
     the [Advice_read] block and before any round-0 [Decide].  A crash
     scheduled for a node that already decided (halted) earlier is a
     no-op and is not recorded.  With [faults = []] the event stream,
-    outputs, rounds and messages are exactly {!run}'s.
-
-    {!Sharded_engine.run_with_faults} produces a byte-identical event
-    stream for the same plan at every domain count — the determinism
-    contract extends to faulty runs unchanged. *)
+    outputs, rounds and messages are exactly {!run}'s.  Faulty runs
+    always execute on one shard, in the calling domain. *)
 val run_with_faults :
   ?max_rounds:int ->
   ?on_round:(round:int -> messages:int -> unit) ->

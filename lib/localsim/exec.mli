@@ -6,12 +6,13 @@
     every layer that chooses an engine — the sweep runtime, the
     election daemon, the CLI — spells that choice as an {!t}:
 
-    - {!Sync}: the sequential round-driven {!Engine}.
-    - {!Sharded}: the same synchronous semantics on the vertex-sharded
-      {!Sharded_engine}.  Outputs, rounds, telemetry and traces are
-      identical to {!Sync} at every domain count — sharding is an
-      execution detail, which is why {!trace_engine} maps it to
-      [Sync].
+    - {!Sync}: the round-driven {!Engine} on one shard, in the calling
+      domain.
+    - {!Sharded}: the same {!Engine} with its rounds split over several
+      domains ({!Engine.run}'s [domains]).  Outputs, rounds, telemetry
+      and traces are identical to {!Sync} at every domain count —
+      sharding is an execution detail, which is why {!trace_engine}
+      maps it to [Sync].
     - {!Async}: the α-synchronizer ({!Async_engine}) under seeded
       adversarial delays — the paper's remark that the synchronous
       process survives asynchrony through time-stamps.  Same outputs
@@ -25,7 +26,7 @@
 type t =
   | Sync
   | Sharded of { domains : int option }
-      (** [None] = {!Sharded_engine.default_domains} *)
+      (** [None] = [Shades_pool.default_domains ()] *)
   | Async of { seed : int }  (** seed of the delay PRNG *)
 
 val parse :
@@ -34,11 +35,11 @@ val parse :
 (** [parse ~domains ~seed name] — the one engine-name parser, shared
     by the CLI's [--engine] flags and the daemon's [engine] request
     field.  Names: ["sync"] (alias ["sequential"], ["seq"]),
-    ["sharded"], ["async"]; matching is exact, so callers that accept
-    any case lowercase first.  [domains] is consulted only for
-    ["sharded"] and [seed] only for ["async"], so a reader may fail on
-    a malformed field that the named engine would never use.  An
-    unknown name is an [Error] naming the accepted spellings. *)
+    ["sharded"], ["async"], in any ASCII case (["SYNC"] is ["sync"]).
+    [domains] is consulted only for ["sharded"] and [seed] only for
+    ["async"], so a reader may fail on a malformed field that the named
+    engine would never use.  An unknown name is an [Error] naming the
+    accepted spellings. *)
 
 val of_trace_engine : Shades_trace.Trace.engine -> t
 (** The execution that reproduces a recorded trace's engine. *)
@@ -71,6 +72,7 @@ val run :
   ('state, 'msg, 'output) Engine.algorithm ->
   'output Engine.result
 (** Execute [alg] under [exec] (default {!Sync}): the single dispatch
-    over {!Engine.run}, {!Sharded_engine.run} and {!Async_engine.run}.
-    Every argument keeps the meaning it has there.
+    over {!Engine.run} (one shard for {!Sync}, [domains] shards for
+    {!Sharded}) and {!Async_engine.run}.  Every argument keeps the
+    meaning it has there.
     @raise Engine.Did_not_terminate as those engines do. *)

@@ -186,12 +186,6 @@ let read_file path =
   | text -> Ok text
   | exception Sys_error msg -> Error ("store: " ^ msg)
 
-let save ~path t = write_file path (encode t)
-
-let load ~path =
-  let* text = read_file path in
-  decode text
-
 (* --- comparison --- *)
 
 let strip_timing t =

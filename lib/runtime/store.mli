@@ -44,9 +44,6 @@ val decode : string -> (t, string) result
 (** Inverse of {!encode}; rejects any [version <> schema_version] and
     any malformed record. *)
 
-val save : path:string -> t -> unit
-val load : path:string -> (t, string) result
-
 val strip_timing : t -> t
 (** Zero every [wall_ns] and drop every [Metrics.Timing] entry — the
     canonical form for cross-run and cross-domain-count comparison. *)

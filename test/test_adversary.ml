@@ -2,8 +2,6 @@
    advice-corruption campaigns.
 
    The load-bearing properties:
-   - fault plans execute identically on the sequential and sharded
-     engines, byte-for-byte in the trace, at every domain count;
    - a round-0 crash is, for every other node, exactly the deletion of
      the victim's outgoing messages;
    - delay-plan search is deterministic and plan-invariant in outputs;
@@ -37,44 +35,6 @@ let summing r =
 
 let random_graph seed n extra =
   Gen.random (Random.State.make [| seed |]) n ~extra_edges:extra
-
-let random_faults seed n =
-  let rng = Random.State.make [| seed; 77 |] in
-  List.init
-    (Random.State.int rng 3)
-    (fun _ ->
-      {
-        Engine.victim = Random.State.int rng n;
-        at_round = Random.State.int rng 6 - 1;
-      })
-
-(* --- sequential = sharded under any fault plan, traces included --- *)
-
-let faulty_run run =
-  let events = ref [] in
-  let r = run ~tracer:(fun e -> events := e :: !events) in
-  (r.Engine.outputs, r.Engine.rounds, r.Engine.messages, List.rev !events)
-
-let prop_sharded_fault_equiv =
-  QCheck.Test.make
-    ~name:"sharded = sequential under fault plans (traced, domains 1/2/4)"
-    ~count:60
-    QCheck.(triple (int_bound 10_000) (int_range 2 16) (int_bound 6))
-    (fun (seed, n, extra) ->
-      let g = random_graph seed n extra in
-      let faults = random_faults seed n in
-      let seq =
-        faulty_run (fun ~tracer ->
-            Engine.run_with_faults ~tracer g ~advice:no_advice ~faults
-              (summing 3))
-      in
-      List.for_all
-        (fun domains ->
-          seq
-          = faulty_run (fun ~tracer ->
-                Sharded_engine.run_with_faults ~domains ~tracer g
-                  ~advice:no_advice ~faults (summing 3)))
-        [ 1; 2; 4 ])
 
 (* --- crash at round 0 = deleting the victim's outgoing messages --- *)
 
@@ -361,7 +321,6 @@ let () =
             test_scheme_fault_outcomes;
           Alcotest.test_case "Crash events: stats, codec, position" `Quick
             test_crash_trace_roundtrip;
-          QCheck_alcotest.to_alcotest prop_sharded_fault_equiv;
           QCheck_alcotest.to_alcotest prop_crash0_is_muted_sends;
         ] );
       ( "schedule",

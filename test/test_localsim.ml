@@ -327,6 +327,9 @@ let test_exec_spellings () =
       ("sync", None, 0, Exec.Sync, "sync", "sync");
       ("sequential", None, 0, Exec.Sync, "sync", "sync");
       ("seq", None, 0, Exec.Sync, "sync", "sync");
+      ("SYNC", None, 0, Exec.Sync, "sync", "sync");
+      ("Sharded", Some 2, 0, Exec.Sharded { domains = Some 2 }, "sharded",
+        "sharded");
       ("sharded", None, 0, Exec.Sharded { domains = None }, "sharded", "sharded");
       ( "sharded", Some 4, 0, Exec.Sharded { domains = Some 4 }, "sharded",
         "sharded" );
@@ -353,7 +356,7 @@ let test_exec_spellings () =
         true
         (Result.is_error
            (Exec.parse ~domains:(fun () -> None) ~seed:(fun () -> 0) name)))
-    [ ""; "SYNC"; "parallel"; "async(seed=3)" ]
+    [ ""; "parallel"; "async(seed=3)" ]
 
 let () =
   Alcotest.run "shades_localsim"

@@ -631,6 +631,33 @@ let test_service_elect_sharded () =
   in
   Alcotest.(check bool) "bad domains rejected" true (is_error bad)
 
+let test_service_elect_engine_case () =
+  (* Engine names are case-insensitive at the one parser: "SYNC" runs
+     the sync engine under the sync result key, so a repeat spelled
+     "sync" is a result-cache hit. *)
+  let s = Service.create () in
+  let elect engine =
+    handle_ok s
+      (Json.Obj
+         [
+           ("op", Json.String "elect");
+           ("graph", Json.String "path:6");
+           ("task", Json.String "pe");
+           ("engine", Json.String engine);
+         ])
+  in
+  let upper = elect "SYNC" in
+  Alcotest.(check bool)
+    "SYNC answered ok" true
+    (Json.member "ok" upper = Some (Json.Bool true));
+  Alcotest.(check bool)
+    "engine echoed as sync" true
+    (Json.member "engine" (result_of upper) = Some (Json.String "sync"));
+  Alcotest.(check bool)
+    "repeat as sync is a result-cache hit" true
+    (Json.member "result_cached" (result_of (elect "sync"))
+    = Some (Json.Bool true))
+
 let test_service_verify_trace () =
   let s = Service.create () in
   (* record a trace exactly as `shades trace record` does *)
@@ -1166,6 +1193,8 @@ let () =
           Alcotest.test_case "eviction" `Quick test_service_eviction;
           Alcotest.test_case "elect + verify" `Quick test_service_elect_and_verify;
           Alcotest.test_case "elect sharded" `Quick test_service_elect_sharded;
+          Alcotest.test_case "elect engine case" `Quick
+            test_service_elect_engine_case;
           Alcotest.test_case "verify-trace" `Quick test_service_verify_trace;
           Alcotest.test_case "registry round-trip" `Quick
             test_registry_round_trip;

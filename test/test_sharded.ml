@@ -1,9 +1,10 @@
-(* The vertex-sharded engine is an execution strategy, not a model
-   change: for every algorithm, graph, advice string and domain count it
-   must reproduce the sequential engine bit for bit — outputs, round
-   count, message count, per-round telemetry, and the traced event
-   stream.  These tests pin that equivalence, plus the fork-join
-   barrier (Crew.run_all) the engine is built on. *)
+(* Sharding is an execution strategy, not a model change: for every
+   algorithm, graph, advice string and domain count, [Engine.run
+   ~domains] must reproduce the one-shard run bit for bit — outputs,
+   round count, message count, per-round telemetry, and the traced
+   event stream.  These tests pin that equivalence against the
+   independent reference engine (Ref_engine), plus the fork-join
+   barrier (Crew.run_all) the multi-domain rounds are built on. *)
 
 open Shades_graph
 open Shades_localsim
@@ -110,7 +111,7 @@ let test_run_all_after_shutdown () =
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* --- Sharded_engine vs Engine on ad-hoc algorithms --- *)
+(* --- Engine ~domains vs the one-shard run on ad-hoc algorithms --- *)
 
 let countdown r =
   {
@@ -157,7 +158,7 @@ let check_equiv ?(msg_size = fun _ -> 0) name g ~advice alg =
     (fun domains ->
       let sh_r, sh_events, sh_hooks =
         capture (fun ~on_round ~tracer ->
-            Sharded_engine.run ~domains ~on_round ~tracer ~msg_size g ~advice
+            Engine.run ~domains ~on_round ~tracer ~msg_size g ~advice
               alg)
       in
       let tag fmt = Printf.sprintf "%s (domains=%d): %s" name domains fmt in
@@ -187,7 +188,7 @@ let test_zero_rounds () =
   List.iter
     (fun domains ->
       let r =
-        Sharded_engine.run ~domains (Gen.path 3) ~advice:no_advice
+        Engine.run ~domains (Gen.path 3) ~advice:no_advice
           (countdown 0)
       in
       Alcotest.(check int) "no rounds" 0 r.Engine.rounds;
@@ -198,7 +199,7 @@ let test_more_domains_than_vertices () =
   (* shards are clamped to the order; empty shards would divide by
      zero in the range arithmetic if unclamped *)
   let r =
-    Sharded_engine.run ~domains:16 (Gen.path 3) ~advice:no_advice
+    Engine.run ~domains:16 (Gen.path 3) ~advice:no_advice
       (countdown 2)
   in
   Alcotest.(check int) "rounds" 2 r.Engine.rounds
@@ -215,7 +216,7 @@ let test_nontermination () =
   List.iter
     (fun domains ->
       match
-        Sharded_engine.run ~domains ~max_rounds:5 (Gen.path 3)
+        Engine.run ~domains ~max_rounds:5 (Gen.path 3)
           ~advice:no_advice never
       with
       | _ -> Alcotest.fail "expected Did_not_terminate"
@@ -241,10 +242,128 @@ let prop_random_graph_equiv =
       in
       let sh =
         run (fun ~tracer ->
-            Sharded_engine.run ~domains ~tracer g ~advice:no_advice
+            Engine.run ~domains ~tracer g ~advice:no_advice
               (countdown 3))
       in
       seq = sh)
+
+(* --- Engine vs the reference engine ---
+
+   [staggered] makes nodes halt at different rounds while their
+   neighbours keep listening, and its sends depend on round and port:
+   a halted or crashed sender whose last message were still readable
+   would change a live neighbour's accumulator, hence its output and
+   its Deliver events. *)
+
+type stagger = { deg : int; round : int; acc : int }
+
+let stagger_init ~degree ~advice:_ = { deg = degree; round = 0; acc = 0 }
+
+let stagger_send st ~port =
+  if (st.round + port + st.acc) mod 3 = 0 then None
+  else Some ((st.acc * 31) + (st.round * 7) + port)
+
+let stagger_step st inbox =
+  {
+    st with
+    round = st.round + 1;
+    acc =
+      List.fold_left
+        (fun a (p, m) -> ((a * 17) + (p * 5) + m) land 0xFFFF)
+        st.acc inbox;
+  }
+
+let stagger_output st =
+  if st.round >= ((3 * st.deg) + st.acc) mod 5 then Some (st.acc, st.round)
+  else None
+
+let staggered =
+  {
+    Engine.init = stagger_init;
+    send = stagger_send;
+    step = stagger_step;
+    output = stagger_output;
+  }
+
+let ref_staggered =
+  {
+    Ref_engine.init = stagger_init;
+    send = stagger_send;
+    step = stagger_step;
+    output = stagger_output;
+  }
+
+(* Everything observable about a run: its result fields, the on_round
+   calls and the event stream. *)
+let observe run =
+  let events = ref [] in
+  let hooks = ref [] in
+  let outputs, rounds, messages =
+    run
+      ~on_round:(fun ~round ~messages -> hooks := (round, messages) :: !hooks)
+      ~tracer:(fun e -> events := e :: !events)
+  in
+  (outputs, rounds, messages, List.rev !hooks, List.rev !events)
+
+let msg_size m = m land 0xFF
+
+let random_faults seed n =
+  let rng = Random.State.make [| seed; 91 |] in
+  List.init
+    (Random.State.int rng 4)
+    (fun _ ->
+      { Engine.victim = Random.State.int rng n; at_round = Random.State.int rng 6 - 1 })
+
+let prop_reference_equiv =
+  QCheck.Test.make
+    ~name:"engine = reference (random graphs, staggered halts, domains 1-4)"
+    ~count:150
+    QCheck.(triple (int_bound 10_000) (int_range 2 24) (int_bound 8))
+    (fun (seed, n, extra) ->
+      let g = Gen.random (Random.State.make [| seed |]) n ~extra_edges:extra in
+      let expected =
+        observe (fun ~on_round ~tracer ->
+            let r =
+              Ref_engine.run ~on_round ~tracer ~msg_size g ~advice:no_advice
+                ref_staggered
+            in
+            (Array.map Option.some r.Ref_engine.outputs, r.rounds, r.messages))
+      in
+      List.for_all
+        (fun domains ->
+          expected
+          = observe (fun ~on_round ~tracer ->
+                let r =
+                  Engine.run ~domains ~on_round ~tracer ~msg_size g
+                    ~advice:no_advice staggered
+                in
+                (Array.map Option.some r.Engine.outputs, r.rounds, r.messages)))
+        domain_counts)
+
+let prop_reference_fault_equiv =
+  QCheck.Test.make ~name:"faulty runs = reference (random crash plans)"
+    ~count:150
+    QCheck.(triple (int_bound 10_000) (int_range 2 24) (int_bound 8))
+    (fun (seed, n, extra) ->
+      let g = Gen.random (Random.State.make [| seed |]) n ~extra_edges:extra in
+      let faults = random_faults seed n in
+      let ref_faults =
+        List.map
+          (fun { Engine.victim; at_round } -> { Ref_engine.victim; at_round })
+          faults
+      in
+      observe (fun ~on_round ~tracer ->
+          let r =
+            Ref_engine.run_with_faults ~on_round ~tracer ~msg_size g
+              ~advice:no_advice ~faults:ref_faults ref_staggered
+          in
+          (r.Ref_engine.outputs, r.rounds, r.messages))
+      = observe (fun ~on_round ~tracer ->
+            let r =
+              Engine.run_with_faults ~on_round ~tracer ~msg_size g
+                ~advice:no_advice ~faults staggered
+            in
+            (r.Engine.outputs, r.rounds, r.messages)))
 
 (* --- full runs of the paper's schemes under every execution --- *)
 
@@ -355,7 +474,12 @@ let () =
         :: Alcotest.test_case "domains > order" `Quick
              test_more_domains_than_vertices
         :: Alcotest.test_case "nontermination" `Quick test_nontermination
-        :: List.map QCheck_alcotest.to_alcotest [ prop_random_graph_equiv ] );
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_random_graph_equiv;
+               prop_reference_equiv;
+               prop_reference_fault_equiv;
+             ] );
       ( "schemes",
         Alcotest.test_case "CPPE on J" `Quick test_jclass_equiv
         :: List.map QCheck_alcotest.to_alcotest
